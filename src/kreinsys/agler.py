@@ -41,7 +41,7 @@ from scipy.linalg import block_diag
 
 from .krein import CanonicalSymmetry, hermitian_sqrt, opnorm
 from .systems import SystemOperatorTuple, fourier_grid
-from .transfer import TruncatedOperatorSeries, eval_series, eval_transfer, resolvent
+from .transfer import TruncatedOperatorSeries, _transfer_parts, eval_series
 
 __all__ = [
     "DecompositionComponent",
@@ -491,19 +491,15 @@ def prop2_functions(system, dec: AglerDecomposition, pairs):
     worst = 0.0
 
     def h_at(z):
-        col = np.vstack(
-            [
-                resolvent(system, z) @ sum(z[k] * system.b[k] for k in range(system.n)),
-                np.eye(du),
-            ]
-        )
-        return [c.value(z) @ col for c in dec.components]
+        x, theta = _transfer_parts(system, z)
+        col = np.vstack([x, np.eye(du)])
+        return [c.value(z) @ col for c in dec.components], theta
 
     for lam, z in checked:
-        hl = h_at(lam)
-        hz = h_at(z)
+        hl, theta_l = h_at(lam)
+        hz, theta_z = h_at(z)
         acc = np.eye(du, dtype=np.complex128)
-        acc -= eval_transfer(system, lam).conj().T @ eval_transfer(system, z)
+        acc -= theta_l.conj().T @ theta_z
         for k, c in enumerate(dec.components):
             acc -= (1.0 - np.conj(lam[k]) * z[k]) * (
                 hl[k].conj().T @ (c.j.matrix @ hz[k])

@@ -38,10 +38,18 @@ def matrix_to_json(m) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def matrix_from_json(rows, shape=None) -> np.ndarray:
+def _finite(values, field: str) -> np.ndarray:
+    """Real array of a bundle field, rejecting the NaN/Infinity literals json admits."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise BundleError(f"field {field!r} has a non-finite entry")
+    return arr
+
+
+def matrix_from_json(rows, shape=None, field: str = "matrix") -> np.ndarray:
     if shape is not None and (shape[0] == 0 or shape[1] == 0):
         return np.zeros(shape, dtype=np.complex128)
-    arr = np.asarray(rows, dtype=np.float64)
+    arr = _finite(rows, field)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise BundleError("matrix entries must be nested as [row][col][re, im]")
     m = arr[..., 0] + 1j * arr[..., 1]
@@ -112,14 +120,16 @@ def system_from_bundle(data: dict):
             rows = data[name]
             if len(rows) != n:
                 raise BundleError(f"field {name!r} must supply {n} blocks")
-            blocks[name] = tuple(matrix_from_json(r, shape) for r in rows)
+            blocks[name] = tuple(
+                matrix_from_json(r, shape, f"{name}[{k}]") for k, r in enumerate(rows)
+            )
         system = MultiparametricSystem(n=n, **blocks)
         j = None
         if data.get("j") is not None:
-            j = CanonicalSymmetry(matrix_from_json(data["j"], (dx, dx)))
+            j = CanonicalSymmetry(matrix_from_json(data["j"], (dx, dx), "j"))
     except BundleError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"invalid system bundle: {exc}") from exc
     return system, j, data.get("metadata", {})
 
@@ -145,18 +155,22 @@ def series_to_bundle(series: TruncatedOperatorSeries, metadata: dict | None = No
 def series_from_bundle(data: dict) -> TruncatedOperatorSeries:
     _expect(data, SERIES_FORMAT)
     try:
-        coeffs = {}
-        for t, re, im in data["coefficients"]:
-            coeffs[tuple(int(c) for c in t)] = np.asarray(re, dtype=np.float64) + 1j * np.asarray(
-                im, dtype=np.float64
-            )
+        coeffs = _coefficients_from_json(data["coefficients"], "coefficients")
         return TruncatedOperatorSeries(
             n=int(data["n"]), degree=int(data["degree"]), coefficients=coeffs
         )
     except BundleError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"invalid series bundle: {exc}") from exc
+
+
+def _coefficients_from_json(entries, field: str) -> dict:
+    """Series coefficients stored as [multi-index, real part, imaginary part]."""
+    return {
+        tuple(int(c) for c in t): _finite(re, field) + 1j * _finite(im, field)
+        for t, re, im in entries
+    }
 
 
 def decomposition_to_bundle(dec: AglerDecomposition) -> dict:
@@ -192,12 +206,10 @@ def decomposition_from_bundle(data: dict) -> AglerDecomposition:
         n = int(data["n"])
         cert = data["certificate"]
         comps = []
-        for entry in data["components"]:
-            coeffs = {}
-            for t, re, im in entry["coefficients"]:
-                coeffs[tuple(int(c) for c in t)] = np.asarray(
-                    re, dtype=np.float64
-                ) + 1j * np.asarray(im, dtype=np.float64)
+        for i, entry in enumerate(data["components"]):
+            coeffs = _coefficients_from_json(
+                entry["coefficients"], f"components[{i}].coefficients"
+            )
             series = TruncatedOperatorSeries(
                 n=n, degree=int(entry["degree"]), coefficients=coeffs
             )
@@ -211,16 +223,16 @@ def decomposition_from_bundle(data: dict) -> AglerDecomposition:
             )
         return AglerDecomposition(
             n=n,
-            epsilon=float(data["epsilon"]),
+            epsilon=float(_finite(data["epsilon"], "epsilon")),
             components=tuple(comps),
-            radius=float(cert["r"]),
+            radius=float(_finite(cert["r"], "certificate.r")),
             degree=int(cert["d"]),
-            eta=float(cert["eta"]),
+            eta=float(_finite(cert["eta"], "certificate.eta")),
             exact=bool(data.get("exact", False)),
         )
     except BundleError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"invalid decomposition bundle: {exc}") from exc
 
 
@@ -250,11 +262,13 @@ def dilation_from_bundle(data: dict):
         system, j, _ = system_from_bundle(data["system"])
         if j is None:
             raise BundleError("dilation bundle must carry the state symmetry")
-        defects = {str(k): float(v) for k, v in data["defects"].items()}
+        defects = {
+            str(k): float(_finite(v, f"defects.{k}")) for k, v in data["defects"].items()
+        }
         return system, j, defects, int(data["k2_dim"])
     except BundleError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"invalid dilation bundle: {exc}") from exc
 
 

@@ -90,6 +90,8 @@ def _parse_point(text: str, n: int) -> np.ndarray:
         raise bundles.BundleError(f"cannot parse evaluation point {text!r}: {exc}") from exc
     if len(z) != n:
         raise bundles.BundleError(f"point has {len(z)} coordinates, the system has {n}")
+    if not all(np.isfinite(c) for c in z):
+        raise bundles.BundleError(f"evaluation point {text!r} is not finite")
     return np.asarray(z, dtype=np.complex128)
 
 
@@ -371,6 +373,32 @@ def _stage_tol_pair(text: str):
         raise argparse.ArgumentTypeError(f"bad tolerance {value!r}") from exc
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _unit_radius(text: str) -> float:
+    """argparse type: a radius in the open interval (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from exc
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kreinsys",
@@ -390,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit one JSON report on stdout")
         p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
         p.add_argument(
-            "--samples", type=int, default=samples, help=f"sample count (default {samples})"
+            "--samples",
+            type=_int_at_least(1),
+            default=samples,
+            help=f"sample count (default {samples})",
         )
 
     p = sub.add_parser("check", help="conservativity defects and torus unitarity")
@@ -400,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="lattice run with energy balance report")
     p.add_argument("bundle", help="system bundle (JSON)")
-    p.add_argument("--levels", type=int, default=10, help="levels to evolve (default 10)")
+    p.add_argument(
+        "--levels", type=_int_at_least(0), default=10, help="levels to evolve (default 10)"
+    )
     p.add_argument(
         "--input",
         choices=("impulse", "random"),
@@ -413,15 +446,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer", help="evaluate the transfer function or its Taylor series")
     p.add_argument("bundle", help="system bundle (JSON)")
     p.add_argument("--at", help="evaluation point, comma-separated complex coordinates")
-    p.add_argument("--degree", type=int, help="also list Taylor coefficients through this degree")
+    p.add_argument(
+        "--degree",
+        type=_int_at_least(1),
+        help="also list Taylor coefficients through this degree",
+    )
     common(p, samples=50)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("decompose", help="certified kernel decomposition of the pencil")
     p.add_argument("bundle", help="system bundle (JSON)")
     p.add_argument("--epsilon", type=float, help="scale (default: feasible upper bound)")
-    p.add_argument("--degree", type=int, help="truncation degree (default 12)")
-    p.add_argument("--radius", type=float, default=0.5, help="certified radius (default 0.5)")
+    p.add_argument("--degree", type=_int_at_least(1), help="truncation degree (default 12)")
+    p.add_argument(
+        "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
+    )
     p.add_argument("--out", help="write the decomposition bundle here")
     common(p, samples=200)
     p.set_defaults(func=cmd_decompose)
@@ -429,17 +468,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dilate", help="conservative dilation pipeline")
     p.add_argument("bundle", help="system bundle (JSON)")
     p.add_argument("--epsilon", type=float, help="scale (default: feasible upper bound)")
-    p.add_argument("--degree", type=int, help="decomposition degree (default 20)")
-    p.add_argument("--radius", type=float, default=0.5, help="certified radius (default 0.5)")
+    p.add_argument(
+        "--degree", type=_int_at_least(1), help="decomposition degree (default 20)"
+    )
+    p.add_argument(
+        "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
+    )
     p.add_argument("--out", help="write the dilation bundle here")
     common(p, samples=100)
     p.set_defaults(func=cmd_dilate)
 
     p = sub.add_parser("realize", help="conservative realization of a series")
     p.add_argument("series", help="series bundle (JSON)")
-    p.add_argument("--degree", type=int, help="input truncation degree (default: series degree)")
+    p.add_argument(
+        "--degree",
+        type=_int_at_least(1),
+        help="input truncation degree (default: series degree)",
+    )
     p.add_argument("--epsilon", type=float, help="scale (default: feasible upper bound)")
-    p.add_argument("--radius", type=float, default=0.5, help="certified radius (default 0.5)")
+    p.add_argument(
+        "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
+    )
     p.add_argument("--out", help="write the realized system bundle here")
     common(p, samples=50)
     p.set_defaults(func=cmd_realize)
@@ -447,14 +496,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-dilation", help="re-check a stored dilation against its system")
     p.add_argument("bundle", help="original system bundle (JSON)")
     p.add_argument("dilation", help="dilation bundle (JSON)")
-    p.add_argument("--radius", type=float, default=0.5, help="sampling radius (default 0.5)")
+    p.add_argument(
+        "--radius", type=_unit_radius, default=0.5, help="sampling radius (default 0.5)"
+    )
     common(p, samples=100)
     p.set_defaults(func=cmd_verify_dilation)
 
     p = sub.add_parser("gen", help="generate a random conservative system bundle")
-    p.add_argument("--n", type=int, default=2, help="number of directions (default 2)")
-    p.add_argument("--state-dim", type=int, default=2, help="state dimension (default 2)")
-    p.add_argument("--input-dim", type=int, default=2, help="input dimension (default 2)")
+    p.add_argument(
+        "--n", type=_int_at_least(1), default=2, help="number of directions (default 2)"
+    )
+    p.add_argument(
+        "--state-dim", type=_int_at_least(0), default=2, help="state dimension (default 2)"
+    )
+    p.add_argument(
+        "--input-dim", type=_int_at_least(0), default=2, help="input dimension (default 2)"
+    )
     p.add_argument("--signs", help="state symmetry as '+'/'-' characters, e.g. '+-'")
     p.add_argument("--out", required=True, help="write the system bundle here")
     common(p, samples=50)

@@ -67,6 +67,90 @@ class TestResolvent:
         np.testing.assert_allclose(resolvent(s, [0.5]), [[8 / 3]], atol=1e-14)
 
 
+RESOLVENT_LIMIT = 1e12
+
+
+def pencil_system(m):
+    """One-direction system whose pencil I - zA is m at z = 1, up to rounding."""
+    rng = np.random.default_rng(0)
+    n = m.shape[0]
+    mk = lambda r, c: rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+    return MultiparametricSystem(
+        n=1, a=(np.eye(n) - m,), b=(mk(n, 2),), c=(mk(2, n),), d=(mk(2, 2),)
+    )
+
+
+def diagonal_pencil(kappa):
+    # one entry near 1 in A leaves a small entry in I - A
+    return np.diag([1.3 / kappa, 0.5, 1.3, 0.9, 0.7]).astype(np.complex128)
+
+
+def similar_pencil(kappa):
+    rng = np.random.default_rng(7)
+    s = np.eye(5) + 0.4 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    return s @ diagonal_pencil(kappa) @ np.linalg.inv(s)
+
+
+def jordan_pencil(kappa):
+    # delta I + shift has 2-norm condition about delta^-4 at n = 4
+    delta = kappa ** -0.25
+    return delta * np.eye(4) + np.eye(4, k=1)
+
+
+def dense_row_pencil(kappa):
+    # its 2-norm condition exceeds the 1-norm estimate by about 5 %
+    m = np.eye(8, dtype=np.complex128)
+    m[0, :] = 1.0
+    m[7, 7] = 4.19 / kappa
+    return m
+
+
+class TestResolventGate:
+    """The LU-based gate rejects exactly the points the 2-norm test rejects."""
+
+    kappas = np.concatenate(
+        [np.geomspace(1e8, 1e16, 41), RESOLVENT_LIMIT * np.geomspace(0.5, 2.0, 61)]
+    )
+
+    @pytest.mark.parametrize(
+        "family", [diagonal_pencil, similar_pencil, jordan_pencil, dense_row_pencil]
+    )
+    def test_rejects_exactly_above_the_limit(self, family):
+        rejected = accepted = 0
+        for kappa in self.kappas:
+            s = pencil_system(family(kappa))
+            m = np.eye(s.state_dim) - s.a[0]
+            cond = np.linalg.cond(m)
+            if cond > RESOLVENT_LIMIT:
+                with pytest.raises(ResolventError, match="singular"):
+                    resolvent(s, [1.0])
+                with pytest.raises(ResolventError, match="singular"):
+                    eval_transfer(s, [1.0])
+                rejected += 1
+                continue
+            resolvent(s, [1.0])
+            value = eval_transfer(s, [1.0])
+            reference = s.d[0] + s.c[0] @ np.linalg.inv(m) @ s.b[0]
+            err = np.linalg.norm(value - reference) / np.linalg.norm(reference)
+            assert err <= 1e-12 * cond
+            accepted += 1
+        assert rejected >= 10 and accepted >= 10
+
+    def test_exactly_singular_point(self):
+        s = pencil_system(np.diag([0.0, 0.5, 1.3]).astype(np.complex128))
+        for fn in (resolvent, eval_transfer):
+            with pytest.raises(ResolventError, match="singular"):
+                fn(s, [1.0])
+
+    def test_non_finite_pencil(self):
+        m = np.diag([0.5, 1.3]).astype(np.complex128)
+        m[0, 1] = np.nan
+        s = pencil_system(m)
+        for fn in (resolvent, eval_transfer):
+            with pytest.raises(ResolventError, match="non-finite"):
+                fn(s, [0.5])
+
+
 class TestTaylorCoefficients:
     def test_hyperbolic_geometric_coefficients(self):
         s, _ = hyperbolic_system()
