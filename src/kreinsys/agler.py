@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .krein import CanonicalSymmetry, hermitian_sqrt, opnorm
 from .systems import SystemOperatorTuple, fourier_grid
@@ -121,8 +120,7 @@ class AglerDecomposition:
         )
 
     def j_m(self) -> CanonicalSymmetry:
-        blocks = [c.j.matrix for c in self.components]
-        return CanonicalSymmetry(block_diag(*blocks))
+        return CanonicalSymmetry.direct_sum(*(c.j for c in self.components))
 
     def component_row_ranges(self):
         """Row range of each component inside the stacked codomain."""
@@ -141,9 +139,6 @@ class AglerDecomposition:
 
     def evaluate(self, z) -> list:
         return [c.value(z) for c in self.components]
-
-    def stacked_value(self, z) -> np.ndarray:
-        return np.vstack(self.evaluate(z))
 
     def stacked_coefficient(self, t) -> np.ndarray:
         return np.vstack([c.coefficient(t) for c in self.components])
@@ -326,7 +321,7 @@ def kernel_residual(g: SystemOperatorTuple, dec: AglerDecomposition, lam, z) -> 
     for k, c in enumerate(dec.components):
         vl = c.value(lam)
         vz = c.value(z)
-        acc -= (1.0 - np.conj(lam[k]) * z[k]) * (vl.conj().T @ (c.j.matrix @ vz))
+        acc -= (1.0 - np.conj(lam[k]) * z[k]) * (vl.conj().T @ c.j.apply(vz))
     return opnorm(acc)
 
 
@@ -380,12 +375,12 @@ def derived_zero_identities(dec: AglerDecomposition, z_samples=None) -> dict:
     plus0, minus0 = _split_value(dec, values0)
     fp0 = np.vstack(plus0)
     fm0 = np.vstack(minus0)
-    jm = dec.j_m().matrix
+    signs = dec.j_m().signs
     f0 = np.vstack(values0)
 
     report = {
         "f_plus_00": opnorm(fp0.conj().T @ fp0 - dec.epsilon**2 * eye),
-        "semiunitary": opnorm(f0.conj().T @ jm @ f0 - eye),
+        "semiunitary": opnorm((f0.conj().T * signs) @ f0 - eye),
         "f_plus": 0.0,
         "f_minus": 0.0,
         "polarization": 0.0,
@@ -404,8 +399,8 @@ def derived_zero_identities(dec: AglerDecomposition, z_samples=None) -> dict:
                 opnorm(fm0.conj().T @ fmz - (dec.epsilon**2 - 1.0) * eye),
             )
         fz = np.vstack(values)
-        lhs = (fz - f0).conj().T @ jm @ (fz - f0)
-        rhs = fz.conj().T @ jm @ fz - f0.conj().T @ jm @ f0
+        lhs = ((fz - f0).conj().T * signs) @ (fz - f0)
+        rhs = (fz.conj().T * signs) @ fz - (f0.conj().T * signs) @ f0
         report["polarization"] = max(report["polarization"], opnorm(lhs - rhs))
     report["max"] = max(v for v in report.values())
     return report
@@ -426,7 +421,7 @@ def transform_identities(dec: AglerDecomposition, g: SystemOperatorTuple, pairs)
     zero = (0,) * dec.n
     values0 = [c.coefficient(zero) for c in dec.components]
     plus0, minus0 = _split_value(dec, values0)
-    jm = dec.j_m().matrix
+    signs = dec.j_m().signs
     f0 = np.vstack(values0)
     for lam, z in _check_pairs(dec, pairs):
         vl = dec.evaluate(lam)
@@ -466,7 +461,7 @@ def transform_identities(dec: AglerDecomposition, g: SystemOperatorTuple, pairs)
         report["jweighted"] = max(
             report["jweighted"],
             opnorm(
-                lp.conj().T @ jm @ zp - d_l.conj().T @ jm @ d_z - lg.conj().T @ zg
+                (lp.conj().T * signs) @ zp - (d_l.conj().T * signs) @ d_z - lg.conj().T @ zg
             ),
         )
     report["max"] = max(report.values())
@@ -502,7 +497,7 @@ def prop2_functions(system, dec: AglerDecomposition, pairs):
         acc -= theta_l.conj().T @ theta_z
         for k, c in enumerate(dec.components):
             acc -= (1.0 - np.conj(lam[k]) * z[k]) * (
-                hl[k].conj().T @ (c.j.matrix @ hz[k])
+                hl[k].conj().T @ c.j.apply(hz[k])
             )
         worst = max(worst, opnorm(acc))
         h_values.append((hl, hz))

@@ -126,7 +126,11 @@ def system_from_bundle(data: dict):
         system = MultiparametricSystem(n=n, **blocks)
         j = None
         if data.get("j") is not None:
-            j = CanonicalSymmetry(matrix_from_json(data["j"], (dx, dx), "j"))
+            jm = matrix_from_json(data["j"], (dx, dx), "j")
+            try:
+                j = CanonicalSymmetry(jm)
+            except ValueError as exc:
+                raise BundleError(f"field 'j' is not a signature matrix: {exc}") from exc
     except BundleError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
     )
     p.add_argument("--out", help="write the realized system bundle here")
-    common(p, samples=50)
+    common(p, samples=100)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify-dilation", help="re-check a stored dilation against its system")

@@ -42,6 +42,7 @@ from .krein import (
     CanonicalSymmetry,
     KreinSubspace,
     extend_j_isometry,
+    hermitian_opnorm,
     j_companion_basis,
     j_unitarity_defect,
     opnorm,
@@ -107,8 +108,9 @@ class _Assembly:
         self.f0 = dec.f0()
         self.m_dim = self.f0.shape[0]
 
-        jm = self.j_m.matrix
-        self.semiunitarity = opnorm(self.f0.conj().T @ jm @ self.f0 - np.eye(q))
+        self.semiunitarity = hermitian_opnorm(
+            (self.f0.conj().T * self.j_m.signs) @ self.f0, CanonicalSymmetry.identity(q)
+        )
 
         # K_0 = Ker(F(0)* J_M), with a Gram-regularized basis Phi_0
         raw = j_companion_basis(self.f0, self.j_m)
@@ -166,7 +168,7 @@ class _Assembly:
 
     def _k0_coords(self, vec, recon):
         """Coordinates in the Phi_0 basis, via xi = J_0 Phi_0* J_M vec."""
-        xi = self.j0.matrix @ (self.phi0.conj().T @ (self.j_m.matrix @ vec))
+        xi = self.j0.apply(self.phi0.conj().T @ self.j_m.apply(vec))
         recon[0] = max(recon[0], float(opnorm(self.phi0 @ xi - vec)))
         return xi
 
@@ -196,9 +198,7 @@ class _Assembly:
                 f"{lsq:.3e} > {tol:.1e}); the decomposition is not accurate enough"
             )
         dom = KreinSubspace.from_basis(basis, self.j_m)
-        iso = float(
-            opnorm(images.conj().T @ self.j_ran.matrix @ images - dom.gram)
-        )
+        iso = hermitian_opnorm((images.conj().T * self.j_ran.signs) @ images - dom.gram)
         return dom, images, max(iso, lsq)
 
 
@@ -248,6 +248,13 @@ def verify_dilation(alpha: MultiparametricSystem, alpha_tilde, j, z_samples):
     A, B, C, D against alpha), the transfer coincidence residual at the
     samples, and the conservativity defect of alpha_tilde for ``j``.
     """
+    comp, transfer = _compression_and_transfer(alpha, alpha_tilde, z_samples)
+    cons = float(max(jconservativity_defect(alpha_tilde, j)))
+    return {"compression": comp, "transfer": transfer, "conservativity": cons}
+
+
+def _compression_and_transfer(alpha, alpha_tilde, z_samples) -> tuple[float, float]:
+    """Corner-block compression defect and transfer coincidence residual."""
     dx = alpha.state_dim
     lead = alpha_tilde.state_dim - dx
     if lead < 0 or alpha.input_dim != alpha_tilde.input_dim:
@@ -267,12 +274,7 @@ def verify_dilation(alpha: MultiparametricSystem, alpha_tilde, j, z_samples):
         transfer = max(
             transfer, opnorm(eval_transfer(alpha_tilde, z) - eval_transfer(alpha, z))
         )
-    cons = max(jconservativity_defect(alpha_tilde, j))
-    return {
-        "compression": float(comp),
-        "transfer": float(transfer),
-        "conservativity": float(cons),
-    }
+    return float(comp), float(transfer)
 
 
 def _torus_samples(n, count, seed):
@@ -384,9 +386,9 @@ def build_dilation(
             f"stage 'lin-tf' residual {defects['lin-tf']:.3e} exceeds tol {tol:.1e}"
         )
 
-    report = verify_dilation(alpha, alpha_tilde, j_tilde, z_samples)
-    defects["compression"] = report["compression"]
-    defects["transfer-coincidence"] = report["transfer"]
+    defects["compression"], defects["transfer-coincidence"] = _compression_and_transfer(
+        alpha, alpha_tilde, z_samples
+    )
     for name in ("compression", "transfer-coincidence"):
         if defects[name] > tol:
             raise ValueError(

@@ -1,8 +1,8 @@
 """Finite-dimensional Krein-space linear algebra.
 
 A Krein space here is C^n equipped with the indefinite inner product
-[x, y] = <J x, y>, where the canonical symmetry J is hermitian and
-involutive (J = J* = J^-1).  The module provides the primitives the
+[x, y] = <J x, y>, where the canonical symmetry J is a signature matrix
+diag(+-1), stored as its sign vector.  The module provides the primitives the
 rest of the package leans on: unitarity defects between two such
 metrics, Gram regularization of subspaces, J-orthogonal projections,
 and extension of a J-isometry defined on a subspace to a J-unitary
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import eigvalsh, null_space
 
 __all__ = [
     "CanonicalSymmetry",
@@ -28,7 +28,9 @@ __all__ = [
     "j_companion_basis",
     "extend_j_isometry",
     "hermitian_sqrt",
+    "hermitian_opnorm",
     "random_j_unitary",
+    "sign_basis",
 ]
 
 #: relative singular-value / eigenvalue threshold used for rank decisions
@@ -88,57 +90,87 @@ def signature(h, tol: float | None = None) -> tuple[int, int, int]:
     return (p, q, h.shape[0] - p - q)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CanonicalSymmetry:
-    """Hermitian involution J defining the metric [x, y] = <J x, y>."""
+    """Signature matrix J = diag(signs), signs = +-1, defining [x, y] = <J x, y>.
 
-    matrix: np.ndarray
+    The matrix constructor takes a finite diagonal matrix that is hermitian
+    and involutive within INVOLUTION_TOL; the classmethods build the signs.
+    """
 
-    def __post_init__(self):
-        m = _as_complex(self.matrix)
+    signs: np.ndarray
+
+    def __init__(self, matrix):
+        m = _as_complex(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("canonical symmetry must be square")
-        if m.size:
-            scale = max(1.0, opnorm(m))
-            if opnorm(m - m.conj().T) > INVOLUTION_TOL * scale:
-                raise ValueError("canonical symmetry must be hermitian")
-            if opnorm(m @ m - np.eye(m.shape[0])) > INVOLUTION_TOL * scale:
-                raise ValueError("canonical symmetry must be involutive")
-        object.__setattr__(self, "matrix", m)
+        d = np.diagonal(m)
+        if not np.all(np.isfinite(m)) or np.any(m - np.diag(d)):
+            raise ValueError("canonical symmetry must be a finite diagonal matrix")
+        # for diagonal J the spectral norms of J, J - J* and J J - I are entrywise
+        scale = max(1.0, np.max(np.abs(d), initial=0.0))
+        if np.any(2 * np.abs(d.imag) > INVOLUTION_TOL * scale):
+            raise ValueError("canonical symmetry must be hermitian")
+        if np.any(np.abs(d * d - 1) > INVOLUTION_TOL * scale):
+            raise ValueError("canonical symmetry must be involutive")
+        object.__setattr__(self, "signs", np.where(d.real > 0, 1.0, -1.0))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.signs.astype(np.complex128))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.signs.size
 
     @property
     def signature(self) -> tuple[int, int]:
-        p, q, _ = signature(self.matrix, tol=0.5)
-        return (p, q)
+        return (int(np.sum(self.signs > 0)), int(np.sum(self.signs < 0)))
 
     @classmethod
     def identity(cls, n: int) -> "CanonicalSymmetry":
-        return cls(np.eye(n, dtype=np.complex128))
+        return cls.from_signs(np.ones(n))
 
     @classmethod
     def from_signs(cls, signs) -> "CanonicalSymmetry":
-        signs = np.asarray(signs, dtype=float)
-        if signs.size and not np.all(np.abs(signs) == 1.0):
+        signs = np.array(signs, dtype=float)
+        if signs.ndim != 1 or not np.all(np.abs(signs) == 1.0):
             raise ValueError("signs must be +1 or -1")
-        return cls(np.diag(signs.astype(np.complex128)))
+        j = object.__new__(cls)
+        object.__setattr__(j, "signs", signs)
+        return j
 
     @classmethod
     def direct_sum(cls, *parts: "CanonicalSymmetry") -> "CanonicalSymmetry":
-        mats = [p.matrix for p in parts]
-        n = sum(m.shape[0] for m in mats)
-        out = np.zeros((n, n), dtype=np.complex128)
-        k = 0
-        for m in mats:
-            out[k : k + m.shape[0], k : k + m.shape[0]] = m
-            k += m.shape[0]
-        return cls(out)
+        return cls.from_signs(np.concatenate([np.zeros(0), *(p.signs for p in parts)]))
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ _as_complex(x)
+        """J x, scaling the rows of x by the signs."""
+        x = _as_complex(x)
+        if x.ndim == 0 or x.shape[0] != self.dim:
+            raise ValueError(f"symmetry of dim {self.dim} cannot act on shape {x.shape}")
+        return self.signs.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+
+
+def hermitian_opnorm(h, j: CanonicalSymmetry | None = None) -> float:
+    """Bound max|eig(S)| + ||K||_F >= ||r||_2 for a residual r = h - J = S + K
+    that is hermitian in exact arithmetic (K is the roundoff asymmetry of h;
+    J = 0 when ``j`` is None).  The eigenvalues carry a 4 n eps relative
+    allowance: a computed max|eig(S)| can fall ulps below the SVD norm of S.
+    """
+    h = _as_complex(h)
+    if h.size == 0:
+        return 0.0
+    herm = h + h.conj().T
+    herm *= 0.5
+    skew = float(np.linalg.norm(h - herm))
+    if not np.isfinite(skew):  # a non-finite residual must fail every gate
+        return np.inf
+    if j is not None:
+        herm.flat[:: j.dim + 1] -= j.signs
+    # the buffer of herm read in Fortran order is conj(S), with the same eigenvalues
+    w = eigvalsh(herm.T, driver="evd", overwrite_a=True, check_finite=False)
+    return float(np.max(np.abs(w))) * (1.0 + 4 * h.shape[0] * np.finfo(float).eps) + skew
 
 
 @dataclass
@@ -163,7 +195,7 @@ class KreinSubspace:
     @classmethod
     def from_basis(cls, basis, j: CanonicalSymmetry) -> "KreinSubspace":
         basis = _as_complex(basis)
-        return cls(basis=basis, gram=basis.conj().T @ j.matrix @ basis)
+        return cls(basis=basis, gram=(basis.conj().T * j.signs) @ basis)
 
     @property
     def ambient_dim(self) -> int:
@@ -187,8 +219,8 @@ def j_unitarity_defect(g, j_in: CanonicalSymmetry, j_out: CanonicalSymmetry) -> 
         raise ValueError(
             f"operator shape {g.shape} does not match symmetries ({j_out.dim}, {j_in.dim})"
         )
-    d1 = opnorm(g.conj().T @ j_out.matrix @ g - j_in.matrix)
-    d2 = opnorm(g @ j_in.matrix @ g.conj().T - j_out.matrix)
+    d1 = hermitian_opnorm((g.conj().T * j_out.signs) @ g, j_in)
+    d2 = hermitian_opnorm((g * j_in.signs) @ g.conj().T, j_out)
     return (d1, d2)
 
 
@@ -201,11 +233,10 @@ def j_orthogonal_projection(h, f0, j_m: CanonicalSymmetry, tol: float = 1e-8) ->
     """
     h = _as_complex(h)
     f0 = _as_complex(f0)
-    m = f0.shape[1]
-    defect = opnorm(f0.conj().T @ j_m.matrix @ f0 - np.eye(m))
+    defect = hermitian_opnorm((f0.conj().T * j_m.signs) @ f0 - np.eye(f0.shape[1]))
     if defect > tol:
         raise ValueError(f"f0 is not J-semiunitary (defect {defect:.3e} > {tol:.1e})")
-    return h - j_m.matrix @ (f0 @ (f0.conj().T @ h))
+    return h - j_m.apply(f0 @ (f0.conj().T @ h))
 
 
 def regularize_subspace(
@@ -220,8 +251,8 @@ def regularize_subspace(
     """
     basis = subspace.basis
     if basis.shape[1] == 0:
-        return basis.copy(), CanonicalSymmetry(np.zeros((0, 0), dtype=np.complex128))
-    gram = basis.conj().T @ j.matrix @ basis
+        return basis.copy(), CanonicalSymmetry.identity(0)
+    gram = (basis.conj().T * j.signs) @ basis
     w, v = np.linalg.eigh(gram)
     scale = max(1.0, float(np.max(np.abs(w))))
     if np.min(np.abs(w)) <= tol * scale:
@@ -241,7 +272,7 @@ def j_companion_basis(basis, j: CanonicalSymmetry, rtol: float = RANK_RTOL) -> n
     basis = _as_complex(basis)
     if basis.shape[1] == 0:
         return np.eye(basis.shape[0], dtype=np.complex128)
-    return null_space(basis.conj().T @ j.matrix, rcond=rtol).astype(np.complex128)
+    return null_space(basis.conj().T * j.signs, rcond=rtol).astype(np.complex128)
 
 
 def _padded_signatures(sig_dom, sig_ran):
@@ -260,9 +291,9 @@ def _neutral_duals(reg_basis, neutral, j: CanonicalSymmetry):
     nondegenerate.
     """
     w = j_companion_basis(reg_basis, j)
-    pairing = neutral.conj().T @ j.matrix @ w
+    pairing = (neutral.conj().T * j.signs) @ w
     raw = w @ np.linalg.pinv(pairing)
-    skew = raw.conj().T @ j.matrix @ raw
+    skew = (raw.conj().T * j.signs) @ raw
     return raw - 0.5 * neutral @ skew
 
 
@@ -316,8 +347,7 @@ def extend_j_isometry(
     if u.shape != (ran.ambient_dim, dom.dim):
         raise ValueError("u must hold ambient-range images of the dom basis columns")
 
-    gram_u = u.conj().T @ j_ran.matrix @ u
-    iso_defect = opnorm(gram_u - dom.gram)
+    iso_defect = hermitian_opnorm((u.conj().T * j_ran.signs) @ u - dom.gram)
     if iso_defect > tol:
         raise ValueError(f"u is not J-isometric on dom (defect {iso_defect:.3e})")
 
@@ -335,7 +365,6 @@ def extend_j_isometry(
             dom = KreinSubspace.from_basis(np.hstack([dom.basis, duals_d]), j_dom)
             u = np.hstack([u, duals_r])
             ran = KreinSubspace.from_basis(u, j_ran)
-            gram_u = u.conj().T @ j_ran.matrix @ u
 
     if dom.ambient_dim != ran.ambient_dim:
         d = abs(dom.ambient_dim - ran.ambient_dim)
@@ -369,8 +398,7 @@ def extend_j_isometry(
     s_dom = np.hstack([dom.basis, wd])
     s_ran = np.hstack([u, wr])
     u_full = s_ran @ np.linalg.solve(s_dom, np.eye(s_dom.shape[0], dtype=np.complex128))
-    j2 = CanonicalSymmetry(np.zeros((0, 0), dtype=np.complex128))
-    return 0, j2, u_full
+    return 0, CanonicalSymmetry.identity(0), u_full
 
 
 def hermitian_sqrt(h, neg_tol: float = 1e-10) -> np.ndarray:
@@ -408,14 +436,6 @@ def random_j_unitary(
     p, q = j_in.signature
     n = j_in.dim
 
-    def sorted_eigenbasis(j):
-        w, v = np.linalg.eigh(j.matrix)
-        order = np.argsort(-w)
-        return v[:, order]
-
-    s_in = sorted_eigenbasis(j_in)
-    s_out = sorted_eigenbasis(j_out)
-
     def haar_unitary(k):
         if k == 0:
             return np.zeros((0, 0), dtype=np.complex128)
@@ -437,4 +457,14 @@ def random_j_unitary(
         h[i, j] = np.exp(1j * phi) * np.sinh(t)
         h[j, i] = np.exp(-1j * phi) * np.sinh(t)
         core = h @ core
-    return s_out @ core @ s_in.conj().T
+    return sign_basis(j_out) @ core @ sign_basis(j_in).conj().T
+
+
+def sign_basis(j: CanonicalSymmetry) -> np.ndarray:
+    """Permutation matrix whose columns list J's coordinates, positive first.
+
+    Within a sign the order is eigh's, which LAPACK does not keep stable; the
+    random generators use it so that every seed still yields the same system.
+    """
+    w, v = np.linalg.eigh(j.matrix)
+    return v[:, np.argsort(-w)]

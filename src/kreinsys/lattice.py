@@ -93,7 +93,7 @@ class LatticeSignal:
         total = 0.0
         for t in self.level_points(level):
             v = self.entries[t]
-            total += np.vdot(v, j.matrix @ v).real
+            total += np.vdot(v, j.apply(v)).real
         return total
 
     @classmethod

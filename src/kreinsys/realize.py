@@ -188,7 +188,7 @@ def jconservative_realization(
     dec_degree: int | None = None,
     radius: float = 0.5,
     epsilon: float | None = None,
-    samples: int = 50,
+    samples: int = 100,
     seed: int = 0,
     allow_large_degree: bool = False,
 ) -> RealizationResult:
@@ -213,7 +213,7 @@ def jconservative_realization(
     if dec_degree is None:
         dec_degree = max(20, d + 4)
     dec = construct_pencil_decomposition(g, epsilon, dec_degree, radius=radius)
-    dil = build_dilation(padded, dec, tol=tol, seed=seed)
+    dil = build_dilation(padded, dec, tol=tol, samples=samples, seed=seed)
 
     dy, du = theta.shape
     m = max(du, dy)

@@ -19,9 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .krein import CanonicalSymmetry, opnorm, random_j_unitary
+from .krein import CanonicalSymmetry, hermitian_opnorm, opnorm, random_j_unitary, sign_basis
 
 __all__ = [
     "MultiparametricSystem",
@@ -61,6 +60,9 @@ class MultiparametricSystem:
             blocks = tuple(_as_complex(m) for m in getattr(self, name))
             if len(blocks) != self.n:
                 raise ValueError(f"{name} must supply {self.n} blocks")
+            for k, m in enumerate(blocks):
+                if not np.all(np.isfinite(m)):
+                    raise ValueError(f"{name}[{k}] has a non-finite entry")
             object.__setattr__(self, name, blocks)
         dx, du, dy = self.state_dim, self.input_dim, self.output_dim
         for k in range(self.n):
@@ -166,8 +168,8 @@ def input_output_symmetries(
     """Metrics J (+) I_U on X (+) U and J (+) I_Y on X (+) Y."""
     if j.dim != system.state_dim:
         raise ValueError(f"state symmetry dim {j.dim} != state dim {system.state_dim}")
-    j1 = CanonicalSymmetry(block_diag(j.matrix, np.eye(system.input_dim)))
-    j2 = CanonicalSymmetry(block_diag(j.matrix, np.eye(system.output_dim)))
+    j1 = CanonicalSymmetry.direct_sum(j, CanonicalSymmetry.identity(system.input_dim))
+    j2 = CanonicalSymmetry.direct_sum(j, CanonicalSymmetry.identity(system.output_dim))
     return j1, j2
 
 
@@ -178,20 +180,16 @@ def jconservativity_defect(
 
     r1: sum_k G_k* J2 G_k = J1        r2: G_k* J2 G_l = 0 for k != l
     r3: sum_k G_k J1 G_k* = J2        r4: G_k J1 G_l* = 0 for k != l
+    (r1, r3 are hermitian residuals; r2, r4 take k < l, whose adjoints are the k > l terms)
     """
-    ops = system_operators(system)
+    g = system_operators(system).operators
     j1, j2 = input_output_symmetries(system, j)
-    g = ops.operators
-    r1 = opnorm(sum(gk.conj().T @ j2.matrix @ gk for gk in g) - j1.matrix)
-    r3 = opnorm(sum(gk @ j1.matrix @ gk.conj().T for gk in g) - j2.matrix)
-    r2 = 0.0
-    r4 = 0.0
-    for k in range(ops.n):
-        for l in range(ops.n):
-            if k == l:
-                continue
-            r2 = max(r2, opnorm(g[k].conj().T @ j2.matrix @ g[l]))
-            r4 = max(r4, opnorm(g[k] @ j1.matrix @ g[l].conj().T))
+    r1 = hermitian_opnorm(sum((gk.conj().T * j2.signs) @ gk for gk in g), j1)
+    r3 = hermitian_opnorm(sum((gk * j1.signs) @ gk.conj().T for gk in g), j2)
+    r2 = r4 = 0.0
+    for k, l in itertools.combinations(range(len(g)), 2):
+        r2 = max(r2, opnorm((g[k].conj().T * j2.signs) @ g[l]))
+        r4 = max(r4, opnorm((g[k] * j1.signs) @ g[l].conj().T))
     return (r1, r2, r3, r4)
 
 
@@ -240,8 +238,8 @@ def torus_coefficient_defects(
     coiso = {}
     for zeta in grid:
         gz = ops.pencil(zeta)
-        lhs = gz.conj().T @ j2.matrix @ gz
-        rhs = gz @ j1.matrix @ gz.conj().T
+        lhs = (gz.conj().T * j2.signs) @ gz
+        rhs = (gz * j1.signs) @ gz.conj().T
         for k in range(system.n):
             for l in range(system.n):
                 # coefficient of conj(zeta_k) zeta_l
@@ -251,14 +249,10 @@ def torus_coefficient_defects(
     npts = grid.shape[0]
     r1 = opnorm(iso[(0, 0)] / npts - j1.matrix)
     r3 = opnorm(coiso[(0, 0)] / npts - j2.matrix)
-    r2 = 0.0
-    r4 = 0.0
-    for k in range(system.n):
-        for l in range(system.n):
-            if k == l:
-                continue
-            r2 = max(r2, opnorm(iso[(k, l)] / npts))
-            r4 = max(r4, opnorm(coiso[(k, l)] / npts))
+    r2 = r4 = 0.0
+    for k, l in itertools.combinations(range(system.n), 2):  # (l, k) holds the adjoint
+        r2 = max(r2, opnorm(iso[(k, l)] / npts))
+        r4 = max(r4, opnorm(coiso[(k, l)] / npts))
     return (r1, r2, r3, r4)
 
 
@@ -284,20 +278,15 @@ def random_jconservative(
     if j.dim != state_dim:
         raise ValueError("state symmetry dimension mismatch")
     dim = state_dim + input_dim
-    j1 = CanonicalSymmetry(block_diag(j.matrix, np.eye(input_dim)))
+    j1 = CanonicalSymmetry.direct_sum(j, CanonicalSymmetry.identity(input_dim))
 
-    w, q = np.linalg.eigh(j1.matrix)
-    order = np.argsort(-w)
-    q = q[:, order]
+    q = sign_basis(j1)
     # split eigenvectors into n nonempty groups
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n - 1, replace=False)) if n > 1 else []
     groups = np.split(np.arange(dim), cuts)
     v = random_j_unitary(j1, j1, rng)
-    ops = []
-    for g_idx in groups:
-        p = q[:, g_idx] @ q[:, g_idx].conj().T
-        ops.append(v @ p)
-    tup = SystemOperatorTuple(tuple(ops), state_dim, input_dim, input_dim)
+    ops = tuple(v @ (q[:, g] @ q[:, g].conj().T) for g in groups)
+    tup = SystemOperatorTuple(ops, state_dim, input_dim, input_dim)
     return system_from_operators(tup), j
 
 

@@ -173,6 +173,8 @@ class TruncatedOperatorSeries:
             if sum(s) > self.degree:
                 raise ValueError(f"multi-index {s} exceeds degree bound {self.degree}")
             m = np.asarray(m, dtype=np.complex128)
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"coefficient at {s} has a non-finite entry")
             if m.ndim == 1:
                 m = m.reshape(-1, 1)
             if shape is None:
@@ -192,9 +194,6 @@ class TruncatedOperatorSeries:
     def coefficient(self, s) -> np.ndarray:
         s = tuple(int(c) for c in s)
         return self.coefficients.get(s, np.zeros(self._shape, dtype=np.complex128))
-
-    def level_coefficients(self, level: int):
-        return {s: m for s, m in self.coefficients.items() if sum(s) == level}
 
 
 def eval_series(series: TruncatedOperatorSeries, z) -> EvalResult:

@@ -1,12 +1,18 @@
 """File format round-trips and command line behavior."""
 
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinsys import bundles
 from kreinsys.agler import construct_pencil_decomposition
@@ -382,6 +388,16 @@ class TestCliContract:
             assert main([cmd[0], str(path), *cmd[1:]]) == 2
             assert "'a[1]' has a non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_j", [[[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, 1.0]]])
+    def test_non_signature_j_system_bundle_exits_two(self, bad_j, tmp_path, capsys):
+        data = two_state_bundle()
+        data["j"] = bundles.matrix_to_json(np.array(bad_j))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for cmd in ("check", "simulate"):
+            assert main([cmd, str(path)]) == 2
+            assert "field 'j' is not a signature matrix" in capsys.readouterr().err
+
     def test_non_finite_point_exits_two(self, unit_bundle, capsys):
         assert main(["transfer", unit_bundle, "--at", "inf,0.2"]) == 2
         assert "not finite" in capsys.readouterr().err
@@ -402,14 +418,20 @@ class TestCliContract:
         assert main(args) == 0
         capsys.readouterr()
         good = json.loads(dil_path.read_text())
-        for field, path, value in [
-            ("c[0]", ["system", "c", 0, 0, 0, 0], np.inf),
-            ("j", ["system", "j", 0, 0, 0], np.nan),
-            ("defects.compression", ["defects", "compression"], np.inf),
+        n = good["system"]["dims"]["state"]
+        swap = np.eye(n)[[1, 0, *range(2, n)]]  # a hermitian involution, not diagonal
+        half = np.diag([0.5] + [1.0] * (n - 1))
+        non_finite = "has a non-finite entry"
+        for field, path, value, message in [
+            ("c[0]", ["system", "c", 0, 0, 0, 0], np.inf, non_finite),
+            ("j", ["system", "j", 0, 0, 0], np.nan, non_finite),
+            ("defects.compression", ["defects", "compression"], np.inf, non_finite),
+            ("j", ["system", "j"], bundles.matrix_to_json(swap), "is not a signature matrix"),
+            ("j", ["system", "j"], bundles.matrix_to_json(half), "is not a signature matrix"),
         ]:
             dil_path.write_text(json.dumps(poisoned(good, path, value)))
             assert main(["verify-dilation", unit_bundle, str(dil_path)]) == 2
-            assert f"'{field}' has a non-finite entry" in capsys.readouterr().err
+            assert f"'{field}' {message}" in capsys.readouterr().err
 
     def test_non_finite_decomposition_bundle_rejected(self):
         # no subcommand reads decompositions, so the parser is checked directly
@@ -450,3 +472,53 @@ class TestCliContract:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+def two_state_bundle() -> dict:
+    """System bundle with state dimension 2 and J = diag(1, -1)."""
+    j = CanonicalSymmetry.from_signs([1.0, -1.0])
+    system, _ = random_jconservative(2, 2, 1, seed=5, j=j)
+    return bundles.system_to_bundle(system, j=j)
+
+
+_entry = st.floats(-2.0, 2.0, allow_nan=False)
+_pair = st.tuples(_entry, _entry).map(list)
+_sign_entries = st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2).map(
+    lambda s: bundles.matrix_to_json(np.diag(s))
+)
+_dense_entries = st.lists(st.lists(_pair, min_size=2, max_size=2), min_size=2, max_size=2)
+
+
+def _identity_with(value, slot):
+    """2x2 identity in bundle nesting with ``value`` written at flat index ``slot``."""
+    m = np.eye(2)
+    m.flat[slot] = value
+    return bundles.matrix_to_json(m)
+
+
+_non_finite_entries = st.builds(
+    _identity_with, st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 3)
+)
+_wrong_shape_entries = st.integers(0, 4).filter(lambda k: k != 2).flatmap(
+    lambda k: st.lists(st.lists(_pair, min_size=k, max_size=k), min_size=k, max_size=k)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.one_of(_sign_entries, _dense_entries, _non_finite_entries, _wrong_shape_entries))
+def test_check_contract_on_random_j(j):
+    data = two_state_bundle()
+    data["j"] = j
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.json"
+        path.write_text(json.dumps(data))
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["check", str(path), "--json"])
+            runs.append((code, out.getvalue(), err.getvalue()))
+    code, _, err = runs[0]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert runs[0] == runs[1]

@@ -1,5 +1,8 @@
 """Tests for the conservative dilation pipeline."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -241,3 +244,14 @@ class TestErrorPaths:
         alpha, _ = hyperbolic_system()
         with pytest.raises(ValueError, match="lin-tf"):
             build_dilation(alpha, make_dec(alpha, 2.0, 6), tol=1e-6)
+
+
+def test_dilation_demo_script_runs(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "dilation_demo.py"
+    spec = importlib.util.spec_from_file_location("dilation_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    out = capsys.readouterr().out
+    assert "hyperbolic benchmark" in out
+    assert "coefficient conservativity of the dilation" in out

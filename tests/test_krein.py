@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from kreinsys.krein import (
     CanonicalSymmetry,
@@ -8,6 +9,7 @@ from kreinsys.krein import (
     KreinSubspace,
     SignatureMismatchError,
     extend_j_isometry,
+    hermitian_opnorm,
     hermitian_sqrt,
     j_companion_basis,
     j_orthogonal_projection,
@@ -15,6 +17,12 @@ from kreinsys.krein import (
     random_j_unitary,
     regularize_subspace,
     signature,
+)
+from kreinsys.systems import (
+    input_output_symmetries,
+    jconservativity_defect,
+    random_jconservative,
+    system_operators,
 )
 
 G_HYP = np.array([[1.25, 0.75], [0.75, 1.25]], dtype=complex)
@@ -203,3 +211,120 @@ def test_random_j_unitary_is_j_unitary(seed):
     w = random_j_unitary(j, j, rng)
     d1, d2 = j_unitarity_defect(w, j, j)
     assert max(d1, d2) < 1e-10
+
+
+def test_symmetry_matrix_contract():
+    # a signature matrix within INVOLUTION_TOL is accepted with exact signs
+    j = CanonicalSymmetry(np.diag([1.0 + 1e-14, -1.0, 1.0 + 1e-14j]))
+    np.testing.assert_array_equal(j.signs, [1.0, -1.0, 1.0])
+    for bad, message in [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "diagonal"),  # hermitian involution
+        (np.diag([0.5, 1.0]), "involutive"),
+        (np.diag([1.0, 1.0 + 1e-11]), "involutive"),
+        (np.diag([1.0, 1j]), "hermitian"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), "diagonal"),
+        (np.diag([1.0, np.nan]), "finite"),
+        (np.ones((2, 3)), "square"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            CanonicalSymmetry(bad)
+    for bad in ([1.0, 0.5], [[1.0, -1.0]], 1.0):
+        with pytest.raises(ValueError):
+            CanonicalSymmetry.from_signs(bad)
+
+
+def test_symmetry_constructors_round_trip():
+    a = CanonicalSymmetry.from_signs([1, -1, -1])
+    b = CanonicalSymmetry.identity(2)
+    np.testing.assert_array_equal(a.matrix, np.diag([1, -1, -1]).astype(complex))
+    np.testing.assert_array_equal(b.matrix, np.eye(2))
+    s = CanonicalSymmetry.direct_sum(a, CanonicalSymmetry.identity(0), b)
+    np.testing.assert_array_equal(s.matrix, block_diag(a.matrix, b.matrix))
+    assert s.dim == 5 and s.signature == (3, 2)
+    np.testing.assert_array_equal(CanonicalSymmetry(s.matrix).signs, s.signs)
+    assert CanonicalSymmetry.direct_sum().dim == 0
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    np.testing.assert_array_equal(s.apply(x), s.matrix @ x)
+    np.testing.assert_array_equal(s.apply(x[:, 0]), s.matrix @ x[:, 0])
+    with pytest.raises(ValueError):
+        s.apply(x[:1])
+    with pytest.raises(AttributeError):
+        s.matrix = np.eye(5)
+
+
+def _hermitian_cases():
+    """(h, tight): hermitian and roundoff-asymmetric h are tight, a 1e-9 skew is not."""
+    rng = np.random.default_rng(7)
+    yield np.zeros((0, 0), dtype=complex), True
+    for n in (1, 2, 3, 5, 8, 20, 60, 100):
+        for _ in range(10):
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            low = x[:, : max(1, n // 3)]
+            skew = (x - x.conj().T) / np.linalg.norm(x - x.conj().T)
+            for h in (x + x.conj().T, low @ low.conj().T - np.eye(n)):  # clustered spectrum
+                norm = np.linalg.norm(h, 2)
+                yield h, True
+                yield h + 1e-15 * norm * skew, True
+                yield h + 1e-9 * norm * skew, False
+
+
+def test_hermitian_opnorm_bounds_the_spectral_norm():
+    for h, tight in _hermitian_cases():
+        ref = np.linalg.norm(h, 2) if h.size else 0.0
+        got = hermitian_opnorm(h)
+        assert got >= ref
+        if tight:
+            assert got - ref <= 1e-13 * ref
+    assert hermitian_opnorm(np.array([[1.0, np.nan], [0.0, 1.0]])) == np.inf
+
+
+def _dense_j_unitarity(g, s_in, s_out):
+    j_in, j_out = np.diag(s_in), np.diag(s_out)
+    return (
+        np.linalg.norm(g.conj().T @ j_out @ g - j_in, 2),
+        np.linalg.norm(g @ j_in @ g.conj().T - j_out, 2),
+    )
+
+
+def _dense_jconservativity(system, signs):
+    g = system_operators(system).operators
+    j1 = np.diag(np.concatenate([signs, np.ones(system.input_dim)]))
+    j2 = np.diag(np.concatenate([signs, np.ones(system.output_dim)]))
+    r1 = np.linalg.norm(sum(gk.conj().T @ j2 @ gk for gk in g) - j1, 2)
+    r3 = np.linalg.norm(sum(gk @ j1 @ gk.conj().T for gk in g) - j2, 2)
+    pairs = [(k, l) for k in range(len(g)) for l in range(len(g)) if k != l]
+    r2 = max((np.linalg.norm(g[k].conj().T @ j2 @ g[l], 2) for k, l in pairs), default=0.0)
+    r4 = max((np.linalg.norm(g[k] @ j1 @ g[l].conj().T, 2) for k, l in pairs), default=0.0)
+    return (r1, r2, r3, r4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 1e-2])
+def test_defects_match_dense_reference(seed, delta):
+    rng = np.random.default_rng(seed)
+    n, dx, du = int(rng.integers(1, 4)), int(rng.integers(2, 6)), int(rng.integers(1, 3))
+    signs = rng.choice([1.0, -1.0], size=dx)
+    signs[:2] = (1.0, -1.0)  # mixed signature
+    j = CanonicalSymmetry.from_signs(signs)
+    system, _ = random_jconservative(n, dx, du, seed=seed, j=j)
+    if delta:
+        system = system.__class__(
+            n=system.n,
+            a=tuple(m + delta * rng.standard_normal(m.shape) for m in system.a),
+            b=system.b,
+            c=tuple(m + delta * rng.standard_normal(m.shape) for m in system.c),
+            d=system.d,
+        )
+    scale = max(np.linalg.norm(m, 2) for m in system_operators(system).operators) ** 2
+    got = jconservativity_defect(system, j)
+    want = _dense_jconservativity(system, signs)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, scale))
+    assert got[0] >= want[0] and got[2] >= want[2]
+
+    j1, j2 = input_output_symmetries(system, j)
+    g = system_operators(system).pencil(np.exp(2j * np.pi * rng.uniform(size=n)))
+    got = j_unitarity_defect(g, j1, j2)
+    want = _dense_j_unitarity(g, j1.signs, j2.signs)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(g, 2) ** 2))
+    assert got[0] >= want[0] and got[1] >= want[1]

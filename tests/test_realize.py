@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kreinsys.dilation import build_dilation
 from kreinsys.krein import opnorm
 from kreinsys.realize import (
     RealizationResult,
@@ -160,6 +161,21 @@ class TestConservativeRealization:
         assert res.corner_transfer(z).shape == (2, 1)
         want = eval_series(theta, z).value
         assert opnorm(res.corner_transfer(z) - want) <= 1e-5
+
+    def test_sample_count_reaches_the_dilation(self, monkeypatch):
+        import kreinsys.realize as realize_module
+
+        seen = []
+
+        def recording_build(*args, **kwargs):
+            seen.append(kwargs.get("samples"))
+            return build_dilation(*args, **kwargs)
+
+        monkeypatch.setattr(realize_module, "build_dilation", recording_build)
+        theta = series(1, 2, {(2,): [[0.5]]})
+        jconservative_realization(theta, tol=1e-5, samples=7)
+        jconservative_realization(theta, tol=1e-5)
+        assert seen == [7, 100]
 
     def test_result_carries_dilation_defects(self):
         theta = series(1, 2, {(2,): [[0.5]]})

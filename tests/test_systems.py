@@ -69,6 +69,16 @@ class TestSystemBasics:
                 n=1, a=([[1.0]],), b=([[1.0], [2.0]],), c=([[1.0]],), d=([[1.0]],)
             )
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_raises(self, n, name, value):
+        # n = 1, name = "b", value = nan is the one-state system with b = [[nan]]
+        blocks = {k: ([[0.5]],) * n for k in "abcd"}
+        blocks[name] = ([[0.5]],) * (n - 1) + ([[value]],)
+        with pytest.raises(ValueError, match=rf"^{name}\[{n - 1}\] has a non-finite entry"):
+            MultiparametricSystem(n=n, **blocks)
+
     def test_wrong_block_count_raises(self):
         with pytest.raises(ValueError):
             MultiparametricSystem(

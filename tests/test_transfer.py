@@ -145,10 +145,15 @@ class TestResolventGate:
     def test_non_finite_pencil(self):
         m = np.diag([0.5, 1.3]).astype(np.complex128)
         m[0, 1] = np.nan
+        # a system with a non-finite A is rejected when it is built ...
+        with pytest.raises(ValueError, match=r"a\[0\] has a non-finite entry"):
+            pencil_system(m)
+        # ... and a finite one meets a non-finite pencil only at a non-finite point
+        m[0, 1] = 0.25
         s = pencil_system(m)
         for fn in (resolvent, eval_transfer):
             with pytest.raises(ResolventError, match="non-finite"):
-                fn(s, [0.5])
+                fn(s, [np.nan])
 
 
 class TestTaylorCoefficients:
@@ -234,6 +239,13 @@ class TestTaylorCoefficients:
 
 
 class TestSeriesEvaluation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_raises(self, value):
+        with pytest.raises(ValueError, match=r"coefficient at \(0, 1\) has a non-finite entry"):
+            TruncatedOperatorSeries(
+                n=2, degree=1, coefficients={(1, 0): [[1.0]], (0, 1): [[value]]}
+            )
+
     def test_constant_series(self):
         series = TruncatedOperatorSeries(
             n=2, degree=0, coefficients={(0, 0): [[1.0, 2.0], [3.0, 4.0]]}
