@@ -2,15 +2,16 @@
 
 Complex matrices serialize as nested lists [row][col] = [re, im]; series
 and decomposition coefficients store the real and imaginary parts as
-separate real matrices.  The json module emits shortest round-trip float
+separate real matrices.  Floats are written as shortest round-trip
 literals, so parse(serialize(x)) reproduces every finite value bit for
-bit, and serialization is canonical (sorted keys) so identical data
-yields identical bytes.
+bit, and serialization is canonical (sorted keys, one-space indentation)
+so identical data yields identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ def matrix_to_json(m) -> list:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError("only two-dimensional matrices serialize")
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _finite(values, field: str) -> np.ndarray:
@@ -59,16 +60,110 @@ def matrix_from_json(rows, shape=None, field: str = "matrix") -> np.ndarray:
 
 
 def _real_matrix_to_json(m) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=np.float64)]
+    return np.asarray(m, dtype=np.float64).tolist()
 
 
 def dumps_canonical(data) -> str:
-    """Deterministic JSON text: sorted keys, fixed indentation."""
-    return json.dumps(data, sort_keys=True, indent=1)
+    """Deterministic JSON text: sorted keys, one-space indentation.
+
+    The text is byte for byte ``json.dumps(data, sort_keys=True, indent=1)``.
+    """
+    return "".join(_encode(data, 0))
 
 
 def save_bundle(data, path) -> None:
-    Path(path).write_text(dumps_canonical(data) + "\n")
+    """Write ``dumps_canonical(data)`` and a final newline, chunk by chunk."""
+    with open(path, "w") as f:
+        f.writelines(_encode(data, 0))
+        f.write("\n")
+
+
+def _encode(o, level: int):
+    """Chunks of the canonical text of ``o`` at nesting depth ``level``.
+
+    Lists and dicts are laid out as json's indent=1 encoder lays them out,
+    and every scalar and key is encoded by ``json.dumps`` itself.  Two
+    shapes that make up the bulk of a bundle skip the per-item path: a
+    list of finite floats, and the rows of a ``matrix_to_json`` matrix.
+    """
+    inner = "\n" + " " * (level + 1)
+    close = "\n" + " " * level
+    if isinstance(o, (list, tuple)):
+        if not o:
+            yield "[]"
+            return
+        if set(map(type, o)) == {float}:
+            text = ("," + inner).join(map(float.__repr__, o))
+            if "n" not in text:  # json writes nan and inf as NaN and Infinity
+                yield "[" + inner + text + close + "]"
+                return
+        width = len(o[0]) if _is_pair_row(o[0]) else 0
+        template = _pair_row_template(width, level + 1) if width else ""
+        yield "[" + inner
+        for i, item in enumerate(o):
+            if i:
+                yield "," + inner
+            text = _fill_pair_row(template, width, item) if width else None
+            if text is None:
+                yield from _encode(item, level + 1)
+            else:
+                yield text
+        yield close + "]"
+    elif isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        yield "{" + inner
+        for i, (key, value) in enumerate(sorted(o.items())):
+            if i:
+                yield "," + inner
+            yield _encode_key(key) + ": "
+            yield from _encode(value, level + 1)
+        yield close + "}"
+    else:
+        yield json.dumps(o)
+
+
+def _encode_key(key) -> str:
+    """A dict key as json encodes it: int, float, bool and None keys become
+    their literals, which are then encoded as strings."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _is_pair_row(row) -> bool:
+    """Whether ``row`` is a nonempty list of 2-element lists, as matrix_to_json nests a row."""
+    return (
+        type(row) is list
+        and len(row) > 0
+        and set(map(type, row)) == {list}
+        and set(map(len, row)) == {2}
+    )
+
+
+def _pair_row_template(width: int, level: int) -> str:
+    """%-template of a row of ``width`` [re, im] float pairs at nesting depth ``level``."""
+    pad = "\n" + " " * (level + 1)
+    entry = "\n" + " " * (level + 2)
+    pair = "[" + entry + "%r," + entry + "%r" + pad + "]"
+    return "[" + pad + ("," + pad).join([pair] * width) + "\n" + " " * level + "]"
+
+
+def _fill_pair_row(template: str, width: int, row):
+    """Text of ``row`` through the template, or None unless it is a row of
+    ``width`` pairs of finite floats."""
+    if not _is_pair_row(row) or len(row) != width:
+        return None
+    flat = tuple(chain.from_iterable(row))
+    if set(map(type, flat)) != {float}:
+        return None
+    text = template % flat
+    return None if "n" in text else text
 
 
 def load_bundle(path, expected_format=None) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bundles
 from .agler import construct_pencil_decomposition, epsilon_bounds, verify_kernel_identity
-from .dilation import build_dilation, verify_dilation
+from .dilation import _disk_samples, _torus_samples, build_dilation, verify_dilation
 from .krein import CanonicalSymmetry, opnorm
 from .lattice import LatticeSignal, energy_balance_report, simulate
 from .realize import jconservative_realization
@@ -95,17 +95,6 @@ def _parse_point(text: str, n: int) -> np.ndarray:
     return np.asarray(z, dtype=np.complex128)
 
 
-def _torus_points(n: int, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.exp(2j * np.pi * rng.uniform(size=(count, n)))
-
-
-def _box_points(n: int, radius: float, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    s = radius / np.sqrt(2.0)
-    return s * (rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n)))
-
-
 def cmd_check(args) -> int:
     system, j, meta = _load_system(args.bundle)
     say = _printer(args)
@@ -113,7 +102,7 @@ def cmd_check(args) -> int:
     say(f"system{' ' + repr(name) if name else ''}: N={system.n}, dims={system.dims}")
     say(f"state symmetry signature {j.signature}")
     r1, r2, r3, r4 = jconservativity_defect(system, j)
-    torus = torus_check(system, j, _torus_points(system.n, args.samples, args.seed))
+    torus = torus_check(system, j, _torus_samples(system.n, args.samples, args.seed))
     report = {
         "command": "check",
         "n": system.n,
@@ -203,8 +192,8 @@ def cmd_decompose(args) -> int:
     epsilon = args.epsilon if args.epsilon is not None else max(1.0, hi)
     degree = args.degree if args.degree is not None else 12
     dec = construct_pencil_decomposition(g, epsilon, degree, radius=args.radius)
-    lams = _box_points(system.n, args.radius, args.samples, args.seed)
-    zs = _box_points(system.n, args.radius, args.samples, args.seed + 1)
+    lams = _disk_samples(system.n, args.radius, args.samples, args.seed)
+    zs = _disk_samples(system.n, args.radius, args.samples, args.seed + 1)
     measured = verify_kernel_identity(g, dec, list(zip(lams, zs)))
     say(f"feasible scale window [{lo:.6g}, {hi:.6g}], using epsilon = {epsilon:.6g}")
     say(
@@ -312,7 +301,7 @@ def cmd_verify_dilation(args) -> int:
         bundles.load_bundle(args.dilation, bundles.DILATION_FORMAT)
     )
     say = _printer(args)
-    z_samples = _box_points(system.n, args.radius, args.samples, args.seed)
+    z_samples = _disk_samples(system.n, args.radius, args.samples, args.seed)
     rep = verify_dilation(system, alpha_tilde, j, z_samples)
     say(
         f"dilation state dim {alpha_tilde.state_dim} over original"

@@ -51,6 +51,7 @@ from .krein import (
 from .systems import (
     MultiparametricSystem,
     SystemOperatorTuple,
+    _mix,
     jconservativity_defect,
     system_operators,
 )
@@ -230,9 +231,9 @@ def verify_linear_tf(check_system: MultiparametricSystem, g, z_samples, n_max=No
     for z in z_samples:
         z = np.asarray(z, dtype=np.complex128).reshape(-1)
         worst = max(worst, opnorm(eval_transfer(check_system, z) - g.pencil(z)))
-        za = sum(z[k] * check_system.a[k] for k in range(g.n))
-        zb = sum(z[k] * check_system.b[k] for k in range(g.n))
-        zc = sum(z[k] * check_system.c[k] for k in range(g.n))
+        za = _mix(check_system.a, z)
+        zb = _mix(check_system.b, z)
+        zc = _mix(check_system.c, z)
         chain = zb
         for _ in range(n_max + 1):
             worst = max(worst, opnorm(zc @ chain))
@@ -278,11 +279,14 @@ def _compression_and_transfer(alpha, alpha_tilde, z_samples) -> tuple[float, flo
 
 
 def _torus_samples(n, count, seed):
+    """``count`` uniform points of the unit torus T^n."""
     rng = np.random.default_rng(seed)
     return np.exp(2j * np.pi * rng.uniform(size=(count, n)))
 
 
 def _disk_samples(n, radius, count, seed):
+    """``count`` points whose coordinates are uniform on the square inscribed
+    in the disk of ``radius``; the real parts of all points are drawn first."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, size=(count, n)) + 1j * rng.uniform(-1, 1, size=(count, n))
     return radius / np.sqrt(2) * pts

@@ -226,6 +226,9 @@ def jconservative_realization(
             target[:dy, :du] = theta.coefficient(t)
             residuals[t] = float(opnorm(realized.get(t, zero_block) - target))
 
+    # Real and imaginary parts are drawn point by point here, while
+    # dilation._disk_samples draws all real parts first: switching to it
+    # would change the points and the reported sample residual.
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

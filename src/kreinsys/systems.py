@@ -43,6 +43,21 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
+def _mix(blocks, z) -> np.ndarray:
+    """sum_k z_k T_k over a checked point z, accumulated in place in k order.
+
+    Adding +0.0 to the first term gives the bits of a sum started from
+    zeros (-0.0 entries become +0.0) without the page faults of a fresh
+    zero matrix at large state dimensions.
+    """
+    zs = z.tolist()
+    out = zs[0] * blocks[0]
+    out += 0.0
+    for zk, t in zip(zs[1:], blocks[1:]):
+        out += zk * t
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class MultiparametricSystem:
     """System tuple (N; A, B, C, D) with one block per evolution direction."""
@@ -125,7 +140,7 @@ class SystemOperatorTuple:
         z = np.asarray(z, dtype=np.complex128).reshape(-1)
         if z.size != self.n:
             raise ValueError(f"expected {self.n} pencil variables")
-        return sum(z[k] * self.operators[k] for k in range(self.n))
+        return _mix(self.operators, z)
 
 
 def system_operators(system: MultiparametricSystem) -> SystemOperatorTuple:
@@ -295,9 +310,12 @@ def one_parameter_slice(system: MultiparametricSystem, z) -> MultiparametricSyst
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     if z.size != system.n:
         raise ValueError(f"expected {system.n} slice coefficients")
-    mix = lambda blocks: (sum(z[k] * blocks[k] for k in range(system.n)),)
     return MultiparametricSystem(
-        n=1, a=mix(system.a), b=mix(system.b), c=mix(system.c), d=mix(system.d)
+        n=1,
+        a=(_mix(system.a, z),),
+        b=(_mix(system.b, z),),
+        c=(_mix(system.c, z),),
+        d=(_mix(system.d, z),),
     )
 
 

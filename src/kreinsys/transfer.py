@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .krein import opnorm
-from .systems import MultiparametricSystem
+from .systems import MultiparametricSystem, _mix
 
 __all__ = [
     "ResolventError",
@@ -52,10 +52,6 @@ def multi_indices(n: int, level: int):
     for first in range(level, -1, -1):
         for rest in multi_indices(n - 1, level - first):
             yield (first,) + rest
-
-
-def _mix(blocks, z):
-    return sum(z[k] * blocks[k] for k in range(len(blocks)))
 
 
 def _check_point(system: MultiparametricSystem, z) -> np.ndarray:

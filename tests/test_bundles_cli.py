@@ -1,7 +1,9 @@
 """File format round-trips and command line behavior."""
 
+import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -114,6 +116,144 @@ class TestBundleRoundTrips:
         a = bundles.dumps_canonical(bundles.system_to_bundle(system, j=j))
         b = bundles.dumps_canonical(bundles.system_to_bundle(system, j=j))
         assert a == b
+
+
+def reference_text(data) -> str:
+    """The canonical text as json's own indent encoder writes it."""
+    return json.dumps(data, sort_keys=True, indent=1)
+
+
+PLAIN_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e-300, 0.1]),
+)
+# what json writes differently from float.__repr__, or not as a float at all
+ODD_ENTRIES = st.one_of(
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+ENTRIES = st.one_of(PLAIN_FLOATS, ODD_ENTRIES)
+
+
+@st.composite
+def bundle_matrices(draw):
+    """Rows of [re, im] pairs as matrix_to_json nests them, sometimes spoiled."""
+    width = draw(st.integers(1, 4))
+    pair = st.lists(PLAIN_FLOATS, min_size=2, max_size=2)
+    rows = draw(st.lists(st.lists(pair, min_size=width, max_size=width), max_size=4))
+    if not rows or draw(st.booleans()):
+        return rows
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, width - 1))
+    spoil = draw(
+        st.sampled_from(
+            ["non-finite", "odd entry", "short pair", "long pair", "tuple pair",
+             "short row", "long row", "tuple row", "empty row"]
+        )
+    )
+    if spoil == "non-finite":
+        rows[i][j][draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif spoil == "odd entry":
+        rows[i][j][draw(st.integers(0, 1))] = draw(ODD_ENTRIES)
+    elif spoil == "short pair":
+        rows[i][j] = rows[i][j][:1]
+    elif spoil == "long pair":
+        rows[i][j] = rows[i][j] + [draw(PLAIN_FLOATS)]
+    elif spoil == "tuple pair":
+        rows[i][j] = tuple(rows[i][j])
+    elif spoil == "short row":
+        rows[i] = rows[i][:-1]
+    elif spoil == "long row":
+        rows[i] = rows[i] + [draw(pair)]
+    elif spoil == "tuple row":
+        rows[i] = tuple(rows[i])
+    else:
+        rows[i] = []
+    return rows
+
+
+JSON_TREES = st.recursive(
+    st.one_of(
+        st.none(),
+        ENTRIES,
+        st.text(),
+        st.lists(PLAIN_FLOATS),
+        st.lists(ENTRIES),
+        bundle_matrices(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), children, max_size=3),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=12,
+)
+
+
+def golden_system_bundle() -> dict:
+    """A hand-built system bundle with signed zeros and extreme floats."""
+    system = MultiparametricSystem(
+        n=2,
+        a=([[0.5, -0.0], [1 / 3, 0.25j]], [[-1e-300, 5e-324], [1e300, -0.75 + 0.1j]]),
+        b=([[1.0], [0.0]], [[-0.0], [2.5 - 1j]]),
+        c=([[0.1, 0.2]], [[0.3, -0.4j]]),
+        d=([[0.0]], [[1.7976931348623157e308]]),
+    )
+    j = CanonicalSymmetry.from_signs([1.0, -1.0])
+    return bundles.system_to_bundle(system, j=j, metadata={"name": "golden", "seed": 0})
+
+
+def bundle_of_each_kind(kind: str) -> dict:
+    if kind == "system":
+        system, j = random_jconservative(2, 3, 2, seed=5)
+        return bundles.system_to_bundle(system, j=j, metadata={"name": "ü", "seed": 5})
+    if kind == "series":
+        series = TruncatedOperatorSeries(
+            n=2,
+            degree=3,
+            coefficients={(1, 0): [[0.5 + 0.25j, -0.0]], (1, 2): [[1e-300, np.pi - 1j]]},
+        )
+        return bundles.series_to_bundle(series, metadata={"name": "s"})
+    if kind == "decomposition":
+        system, _ = hyperbolic_system()
+        dec = construct_pencil_decomposition(system_operators(system), 2.0, 8, radius=0.5)
+        return bundles.decomposition_to_bundle(dec)
+    system, _ = matrix_unit_system()
+    dec = construct_pencil_decomposition(system_operators(system), 1.0, 4, radius=0.5)
+    return bundles.dilation_to_bundle(build_dilation(system, dec, tol=1e-8), original=system)
+
+
+class TestCanonicalWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_matches_json_indent_encoder(self, tree):
+        assert bundles.dumps_canonical(tree) == reference_text(tree)
+
+    @pytest.mark.parametrize("kind", ["system", "series", "decomposition", "dilation"])
+    def test_saved_bundle_is_the_canonical_text(self, kind, tmp_path):
+        data = bundle_of_each_kind(kind)
+        path = tmp_path / f"{kind}.json"
+        bundles.save_bundle(data, path)
+        text = path.read_text()
+        assert text == bundles.dumps_canonical(data) + "\n"
+        assert text == reference_text(data) + "\n"
+
+    def test_golden_system_bundle(self, tmp_path):
+        path = tmp_path / "golden.json"
+        bundles.save_bundle(golden_system_bundle(), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "557722e67f859c393aeee493b59f933cf86b5061a385961a1d941cd574efc4a6"
+
+    def test_unserializable_values_raise_like_json(self):
+        for bad in ({"a": {1.5j}}, {(1, 2): 0.5}, [np.zeros(2)]):
+            with pytest.raises(TypeError):
+                reference_text(bad)
+            with pytest.raises(TypeError):
+                bundles.dumps_canonical(bad)
 
 
 class TestBundleErrors:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kreinsys.krein import CanonicalSymmetry
 from kreinsys.systems import (
     MultiparametricSystem,
+    _mix,
     conjugate_system,
     fourier_grid,
     jconservativity_defect,
@@ -215,6 +216,21 @@ class TestSliceAndPadding:
         sliced = one_parameter_slice(s, z)
         np.testing.assert_allclose(sliced.a[0], z[0] * s.a[0] + z[1] * s.a[1])
         np.testing.assert_allclose(sliced.d[0], z[0] * s.d[0] + z[1] * s.d[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mix_is_the_generator_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        shape = (4, 3)
+        blocks = []
+        for _ in range(n):
+            t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            t[rng.uniform(size=shape) < 0.4] = complex(-0.0, -0.0)
+            blocks.append(t)
+        for z in (rng.standard_normal(n) + 1j * rng.standard_normal(n), np.ones(n, dtype=complex)):
+            reference = sum(z[k] * blocks[k] for k in range(n))
+            got = _mix(tuple(blocks), z)
+            assert np.array_equal(got.view(np.float64), reference.view(np.float64))
+            assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(reference.view(np.float64)))
 
     def test_pad_io_equalizes_dims(self):
         s = random_system(2, 2, 1, 3, seed=9)
