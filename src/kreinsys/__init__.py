@@ -55,7 +55,7 @@ from .agler import (  # noqa: F401
     derived_zero_identities,
     transform_identities,
     prop2_functions,
-    gram_feasibility_search,
+    minimal_factor,
 )
 from .dilation import (  # noqa: F401
     DilationResult,

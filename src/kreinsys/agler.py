@@ -6,9 +6,9 @@ builds polynomial families F_k(z) with values in Krein spaces
 
     I - (lG)*(zG) = sum_k (1 - conj(l_k) z_k) F_k(l)* J^(k) F_k(z)
 
-holds exactly in the degree limit and within a certified bound
-eta(r, d) = C * r^(2(d+1)) / (1 - r^2) at truncation degree d on the
-closed polydisk of radius r.  The construction is fully explicit:
+holds exactly in the degree limit and within a certified bound eta(r, d)
+at truncation degree d on the closed polydisk of radius r.  The
+construction is fully explicit:
 
   (a) positive rows per variable: (eps/sqrt(N)) I at degree 0 and
       z_k^n D_k for n = 1..d, with D_k = ((eps^2/N) I - N G_k*G_k)^(1/2);
@@ -29,16 +29,24 @@ exactly
     sum_k w_k^(d+1) (D_k^2 - ((eps^2-1)/N) I)
         + sum_{j<k} w_j^d Q_jk(l)* Q_jk(z),      w_k = conj(l_k) z_k,
 
-whose norm on the r-polydisk is bounded by the stored eta.
+with D_k^2 - ((eps^2-1)/N) I = I/N - N G_k*G_k and Q_jk(z) = z_j G_j - z_k G_k.
+Since |w_k| <= r^2 and ||Q_jk|| <= r (||G_j|| + ||G_k||), its norm on the
+r-polydisk is at most the stored, scale-free
+
+    eta = r^(2(d+1)) [sum_k ||I/N - N G_k*G_k|| + sum_{j<k} (||G_j|| + ||G_k||)^2].
+
+The dilation reads a decomposition only through the per-component
+coefficient Grams C_k* J^(k) C_k, so minimal_factor replaces each F_k by
+the fewest rows that reproduce its Gram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .krein import CanonicalSymmetry, hermitian_sqrt, opnorm
+from .krein import RANK_RTOL, CanonicalSymmetry, hermitian_sqrt, opnorm
 from .systems import SystemOperatorTuple, fourier_grid
 from .transfer import TruncatedOperatorSeries, _transfer_parts, eval_series
 
@@ -51,7 +59,7 @@ __all__ = [
     "derived_zero_identities",
     "transform_identities",
     "prop2_functions",
-    "gram_feasibility_search",
+    "minimal_factor",
 ]
 
 EXACT_BRANCH_TOL = 1e-12
@@ -164,10 +172,6 @@ def epsilon_bounds(g: SystemOperatorTuple, torus_samples=None) -> tuple[float, f
     return (lower, upper)
 
 
-def _unit(n: int, k: int) -> tuple:
-    return tuple(1 if i == k else 0 for i in range(n))
-
-
 def _scaled_index(n: int, k: int, power: int) -> tuple:
     return tuple(power if i == k else 0 for i in range(n))
 
@@ -244,11 +248,9 @@ def construct_pencil_decomposition(
             ) from exc
 
     components = []
-    c1 = sum(opnorm(db @ db) for db in d_blocks) + (epsilon**2 - 1.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            c1 += (norms[j] + norms[k]) ** 2
-    eta = c1 * radius ** (2 * (degree + 1)) / (1.0 - radius**2)
+    c1 = sum(opnorm(eye / n - n * gk.conj().T @ gk) for gk in g.operators)
+    c1 += sum((norms[j] + norms[k]) ** 2 for j in range(n) for k in range(j + 1, n))
+    eta = c1 * radius ** (2 * (degree + 1))
 
     for k in range(n):
         pairs = [(k, l) for l in range(k + 1, n)]
@@ -295,6 +297,45 @@ def construct_pencil_decomposition(
         eta=float(eta),
         exact=False,
     )
+
+
+def minimal_factor(dec: AglerDecomposition) -> tuple[AglerDecomposition, float]:
+    """The decomposition with each component cut to the rank of its Gram.
+
+    Component k stacks its nonzero coefficients side by side as C_k, so
+    every kernel term F_k(l)* J^(k) F_k(z) is a compression of the Gram
+    C_k* J^(k) C_k.  With the hermitian part of that Gram written as
+    W Lambda W*, and eigenvalues with |lambda| <= RANK_RTOL max|lambda|
+    dropped, the rows |Lambda|^(1/2) W* with J^(k) = sign(Lambda), positive
+    rows first, reproduce it with as many rows as it has nonzero
+    eigenvalues: the finite analogue of the minimal Pontryagin-space
+    factor of a kernel.  Returns the factored decomposition and ``factor``,
+    the worst spectral-norm mismatch between the explicit and the factored
+    Grams.
+    """
+    q = dec.domain_dim
+    components = []
+    worst = 0.0
+    for c in dec.components:
+        keys = [t for t, m in c.series.coefficients.items() if np.any(m)]
+        keys = keys or list(c.series.coefficients)  # a zero component keeps no rows
+        stacked = np.hstack([c.coefficient(t) for t in keys])
+        gram = (stacked.conj().T * c.j.signs) @ stacked
+        lam, w = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+        keep = np.flatnonzero(np.abs(lam) > RANK_RTOL * np.max(np.abs(lam), initial=0.0))
+        keep = keep[np.argsort(lam[keep] < 0, kind="stable")]
+        signs = np.sign(lam[keep])
+        rows = np.sqrt(np.abs(lam[keep]))[:, None] * w[:, keep].conj().T
+        worst = max(worst, opnorm(gram - (rows.conj().T * signs) @ rows))
+        coeffs = {t: rows[:, i * q : (i + 1) * q] for i, t in enumerate(keys)}
+        series = TruncatedOperatorSeries(n=dec.n, degree=c.series.degree, coefficients=coeffs)
+        m_plus = int(np.sum(signs > 0))
+        components.append(
+            DecompositionComponent(
+                index=c.index, m_plus=m_plus, m_minus=signs.size - m_plus, series=series
+            )
+        )
+    return replace(dec, components=tuple(components)), float(worst)
 
 
 def _check_pairs(dec: AglerDecomposition, pairs):
@@ -502,148 +543,3 @@ def prop2_functions(system, dec: AglerDecomposition, pairs):
         worst = max(worst, opnorm(acc))
         h_values.append((hl, hz))
     return h_values, worst
-
-
-def gram_feasibility_search(
-    g: SystemOperatorTuple,
-    epsilon: float,
-    degree: int,
-    radius: float = 0.5,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-):
-    """Best-effort search for positive parts at scales below N max ||G_k||.
-
-    Looks for PSD Gram matrices T_k over the monomial blocks of degree
-    <= degree whose telescoped sum matches the positive-part identity
-
-        eps^2 I - (lG)*(zG) = sum_k (1 - conj(l_k) z_k) F_k+(l)* F_k+(z)
-
-    by alternating single-constraint corrections with projection onto
-    the PSD cone.  The negative rows are taken from the explicit
-    geometric construction unchanged.  Returns (dec, info) on success
-    or (None, info) if the iteration stalls; never required by the
-    main pipeline.
-    """
-    from .transfer import multi_indices
-
-    if epsilon < 1.0:
-        raise ValueError("scale must be at least 1")
-    n = g.n
-    q = g.operators[0].shape[1]
-    monomials = [t for lev in range(degree + 1) for t in multi_indices(n, lev)]
-    mono_pos = {t: i for i, t in enumerate(monomials)}
-    nm = len(monomials)
-
-    def rhs(s, t):
-        if sum(s) == 0 and sum(t) == 0:
-            return epsilon**2 * np.eye(q, dtype=np.complex128)
-        if sum(s) == 1 and sum(t) == 1:
-            jj, kk = s.index(1), t.index(1)
-            return -g.operators[jj].conj().T @ g.operators[kk]
-        return np.zeros((q, q), dtype=np.complex128)
-
-    # constraints live on pairs (s, t) with |s|,|t| <= degree + 1 shifted
-    # back into range; entries of T_k are indexed by monomial pairs
-    t_mats = [np.zeros((nm * q, nm * q), dtype=np.complex128) for _ in range(n)]
-
-    def blk(tk, s, t):
-        i, j = mono_pos[s] * q, mono_pos[t] * q
-        return tk[i : i + q, j : j + q]
-
-    def set_blk(tk, s, t, v):
-        i, j = mono_pos[s] * q, mono_pos[t] * q
-        tk[i : i + q, j : j + q] = v
-
-    def shifted(t, k):
-        out = list(t)
-        out[k] -= 1
-        return tuple(out) if out[k] >= 0 else None
-
-    constraints = []
-    for s in monomials + [tuple(np.add(t, _unit(n, k))) for t in monomials for k in range(n)]:
-        if sum(s) > degree + 1:
-            continue
-        for t in monomials + [
-            tuple(np.add(tt, _unit(n, k))) for tt in monomials for k in range(n)
-        ]:
-            if sum(t) > degree + 1:
-                continue
-            terms = []
-            for k in range(n):
-                if max(s) <= degree and max(t) <= degree and s in mono_pos and t in mono_pos:
-                    terms.append((k, s, t, 1.0))
-                ss, ts = shifted(s, k), shifted(t, k)
-                if ss is not None and ts is not None and ss in mono_pos and ts in mono_pos:
-                    terms.append((k, ss, ts, -1.0))
-            if terms:
-                constraints.append((s, t, terms))
-    constraints = list({(s, t): (s, t, terms) for s, t, terms in constraints}.values())
-
-    violation = np.inf
-    for _ in range(max_iter):
-        violation = 0.0
-        for s, t, terms in constraints:
-            val = sum(sign * blk(t_mats[k], ss, ts) for k, ss, ts, sign in terms)
-            err = val - rhs(s, t)
-            violation = max(violation, opnorm(err))
-            corr = err / len(terms)
-            for k, ss, ts, sign in terms:
-                set_blk(t_mats[k], ss, ts, blk(t_mats[k], ss, ts) - sign * corr)
-        psd_defect = 0.0
-        for k in range(n):
-            h = 0.5 * (t_mats[k] + t_mats[k].conj().T)
-            w, v = np.linalg.eigh(h)
-            psd_defect = max(psd_defect, max(0.0, -float(w.min())))
-            w = np.clip(w, 0.0, None)
-            t_mats[k] = (v * w) @ v.conj().T
-        if violation <= tol and psd_defect <= tol:
-            break
-    info = {"violation": violation, "iterations": max_iter, "converged": violation <= tol}
-    if violation > tol:
-        return None, info
-
-    # factor each Gram into positive rows; the negative part is the
-    # geometric construction at the requested scale
-    components = []
-    neg_weight = (epsilon**2 - 1.0) / n
-    m_minus = 0 if abs(epsilon - 1.0) <= 1e-14 else (degree + 1) * q
-    for k in range(n):
-        w, v = np.linalg.eigh(0.5 * (t_mats[k] + t_mats[k].conj().T))
-        keep = w > tol
-        rows = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
-        m_plus = rows.shape[0]
-        coeffs: dict[tuple, np.ndarray] = {}
-        for i, t in enumerate(monomials):
-            blkrows = rows[:, i * q : (i + 1) * q]
-            if np.any(blkrows != 0):
-                coeffs.setdefault(
-                    t, np.zeros((m_plus + m_minus, q), dtype=np.complex128)
-                )[:m_plus] += blkrows
-        for power in range(degree + 1):
-            if not m_minus:
-                break
-            t = _scaled_index(n, k, power)
-            coeffs.setdefault(t, np.zeros((m_plus + m_minus, q), dtype=np.complex128))[
-                m_plus + power * q : m_plus + (power + 1) * q
-            ] += np.sqrt(neg_weight) * np.eye(q)
-        if not coeffs:
-            coeffs[(0,) * n] = np.zeros((m_plus + m_minus, q), dtype=np.complex128)
-        series = TruncatedOperatorSeries(n=n, degree=degree, coefficients=coeffs)
-        components.append(
-            DecompositionComponent(index=k, m_plus=m_plus, m_minus=m_minus, series=series)
-        )
-    # certificate: the matching violations spread over the monomial pairs
-    # they sit on, plus the geometric tail of the negative rows
-    spread = violation * sum(radius ** (sum(s) + sum(t)) for s, t, _ in constraints)
-    neg_tail = (epsilon**2 - 1.0) * radius ** (2 * (degree + 1)) / (1.0 - radius**2)
-    dec = AglerDecomposition(
-        n=n,
-        epsilon=float(epsilon),
-        components=tuple(components),
-        radius=radius,
-        degree=degree,
-        eta=float(spread + neg_tail),
-        exact=False,
-    )
-    return dec, info

@@ -10,9 +10,12 @@ corner compressions reproduce alpha exactly and whose transfer function
 coincides with alpha's, and which is itself conservative for a canonical
 symmetry read off from the decomposition signs.
 
-The construction is coefficient-exact.  Write M for the stacked row space
-of F with symmetry J_M, q = dX + dU for the column count, and F_hat_t for
-the degree-t coefficient of the stacked F.  Three facts carry the build:
+The construction is coefficient-exact.  It reads F only through the
+per-component coefficient Grams, so it first cuts F to its minimal factor
+(agler.minimal_factor), whose row count is the rank of those Grams.
+Write M for the stacked row space of that F with symmetry J_M, q = dX + dU
+for the column count, and F_hat_t for the degree-t coefficient of the
+stacked F.  Three facts carry the build:
 
 * F(0)* J_M F(0) = I_q and F(0)* J_M F_hat_t = 0 for 1 <= |t| <= degree,
   so K_0 := Ker(F(0)* J_M) is a regular subspace containing every
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agler import AglerDecomposition
+from .agler import AglerDecomposition, minimal_factor
 from .krein import (
     CanonicalSymmetry,
     KreinSubspace,
@@ -58,6 +61,7 @@ from .systems import (
 from .transfer import eval_transfer, multi_indices
 
 DEFECT_NAMES = (
+    "factor",
     "semiunitarity",
     "isometry",
     "extension",
@@ -75,6 +79,7 @@ class DilationResult:
     alpha_tilde: MultiparametricSystem
     j: CanonicalSymmetry
     check_operators: SystemOperatorTuple
+    decomposition: AglerDecomposition
     u_matrix: np.ndarray
     k0_basis: np.ndarray
     k0_symmetry: CanonicalSymmetry
@@ -211,7 +216,7 @@ def build_U(dec: AglerDecomposition, g: SystemOperatorTuple, tol: float = 1e-8):
     subspace, and ``defect`` is the indefinite Gram mismatch between the
     two sides (the defect of U being a (J_M, J_0 (+) I_q)-isometry).
     """
-    asm = _Assembly(dec, g)
+    asm = _Assembly(minimal_factor(dec)[0], g)
     dom, images, defect = asm.reduce_spans(tol)
     ran = KreinSubspace.from_basis(images, asm.j_ran)
     return images, dom, ran, defect
@@ -308,10 +313,23 @@ def build_dilation(
     defects.  Every named defect must come in below ``tol`` or the build
     fails naming the stage; signature obstructions in the extension step
     raise SignatureMismatchError with the required paddings.
+
+    The assembly runs on the minimal factor of ``dec``, which agrees with
+    it in every coefficient Gram; ``dec`` itself stays the certified
+    source.  The result's ``decomposition`` is that factor, the coordinates
+    of ``u_matrix`` and ``k0_basis``, and the ``factor`` defect is its Gram
+    mismatch.
     """
     g = system_operators(alpha)
+    dec, factor = minimal_factor(dec)
+    defects = {"factor": factor}
+    if defects["factor"] > tol:
+        raise ValueError(
+            f"stage 'factor' residual {defects['factor']:.3e} exceeds tol {tol:.1e}"
+        )
+
     asm = _Assembly(dec, g)
-    defects = {"semiunitarity": float(asm.semiunitarity)}
+    defects["semiunitarity"] = float(asm.semiunitarity)
     if defects["semiunitarity"] > tol:
         raise ValueError(
             f"stage 'semiunitarity' residual {defects['semiunitarity']:.3e} "
@@ -403,6 +421,7 @@ def build_dilation(
         alpha_tilde=alpha_tilde,
         j=j_tilde,
         check_operators=check_ops,
+        decomposition=dec,
         u_matrix=u_full,
         k0_basis=asm.phi0,
         k0_symmetry=asm.j0,

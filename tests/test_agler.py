@@ -1,7 +1,11 @@
 """Tests for certified pencil kernel decompositions."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinsys.agler import (
     AglerDecomposition,
@@ -9,14 +13,15 @@ from kreinsys.agler import (
     construct_pencil_decomposition,
     derived_zero_identities,
     epsilon_bounds,
-    gram_feasibility_search,
     kernel_residual,
+    minimal_factor,
     prop2_functions,
     transform_identities,
     verify_kernel_identity,
 )
-from kreinsys.systems import system_operators
-from kreinsys.transfer import TruncatedOperatorSeries
+from kreinsys.krein import CanonicalSymmetry
+from kreinsys.systems import random_jconservative, system_operators
+from kreinsys.transfer import TruncatedOperatorSeries, multi_indices
 
 from oracles import kernel_sum
 from test_systems import hyperbolic_system, matrix_unit_system
@@ -310,16 +315,136 @@ class TestProp2:
         assert acc[0, 0] == pytest.approx(1 - np.conj(lam[1]) * z[1], abs=1e-6)
 
 
-class TestGramSearch:
-    def test_matrix_unit_scale_one_feasible(self):
-        g = matrix_unit_ops()
-        dec, info = gram_feasibility_search(g, 1.0, degree=1, max_iter=300)
-        assert info["converged"]
-        assert dec is not None
-        res = verify_kernel_identity(g, dec, polydisk_pairs(2, 0.5, 50, 13))
-        assert res <= max(dec.eta, 1e-8)
+def readme_ops():
+    """Operators of the README's bundle: gen --n 2 --state-dim 3 --input-dim 2 --signs ++-."""
+    s, _ = random_jconservative(2, 3, 2, seed=0, j=CanonicalSymmetry.from_signs([1, 1, -1]))
+    return system_operators(s)
 
-    def test_infeasible_returns_none(self):
-        g = hyperbolic_ops()
-        dec, info = gram_feasibility_search(g, 1.2, degree=2, max_iter=40)
-        assert dec is None and not info["converged"]
+
+def upper_scale_dec(g, degree):
+    return construct_pencil_decomposition(g, max(1.0, epsilon_bounds(g)[1]), degree)
+
+
+class TestCertificate:
+    @staticmethod
+    def torus_pairs(n, radius, per_axis):
+        """Pairs (z, z) on a per_axis^n phase grid of the r-torus."""
+        phases = np.exp(2j * np.pi * np.arange(per_axis) / per_axis)
+        return [(radius * np.array(p),) * 2 for p in itertools.product(phases, repeat=n)]
+
+    @pytest.mark.parametrize(
+        "system, degree, per_axis",
+        [
+            ("readme", 6, 32),
+            ("readme", 12, 32),
+            ("readme", 20, 32),
+            ((2, 2, 2, 3), 8, 32),
+            ((3, 2, 1, 5), 6, 10),
+        ],
+    )
+    def test_eta_never_below_torus_scan(self, system, degree, per_axis):
+        if system == "readme":
+            g = readme_ops()
+        else:
+            n, state_dim, input_dim, seed = system
+            g = system_operators(random_jconservative(n, state_dim, input_dim, seed=seed)[0])
+        dec = upper_scale_dec(g, degree)
+        pairs = self.torus_pairs(g.n, dec.radius, per_axis)
+        scan = verify_kernel_identity(g, dec, pairs, enforce=True)
+        assert 0.0 < scan <= dec.eta
+
+    def test_eta_attained_for_one_variable(self):
+        # N = 1 has no cross rows: the residual is w^(d+1) (I - G*G), whose
+        # norm reaches r^(2(d+1)) ||I - G*G|| = eta everywhere on the r-torus
+        g = system_operators(random_jconservative(1, 2, 1, seed=4)[0])
+        dec = upper_scale_dec(g, 8)
+        scan = verify_kernel_identity(g, dec, self.torus_pairs(1, dec.radius, 16), enforce=True)
+        assert scan == pytest.approx(dec.eta, rel=1e-9)
+
+    def test_readme_bundle_values(self):
+        g = readme_ops()
+        assert upper_scale_dec(g, 12).eta == pytest.approx(8.179e-7, rel=1e-3)
+        assert upper_scale_dec(g, 20).eta == pytest.approx(1.248e-11, rel=1e-3)
+
+
+def stacked_rows(component, keys):
+    return np.hstack([component.coefficient(t) for t in keys])
+
+
+@st.composite
+def factor_cases(draw):
+    n = draw(st.integers(1, 3))
+    exact = draw(st.booleans())
+    state_dim = draw(st.integers(0, 3))
+    input_dim = draw(st.integers(max(1, n - state_dim), 3))
+    signs = [1.0] * state_dim if exact else draw(
+        st.lists(st.sampled_from([1.0, -1.0]), min_size=state_dim, max_size=state_dim)
+    )
+    seed = draw(st.integers(0, 10_000))
+    system, _ = random_jconservative(
+        n, state_dim, input_dim, seed=seed, j=CanonicalSymmetry.from_signs(signs)
+    )
+    g = system_operators(system)
+    degree = draw(st.integers(1, 6))
+    if exact:
+        dec = construct_pencil_decomposition(g, 1.0, degree)
+        assert dec.exact
+    else:
+        dec = upper_scale_dec(g, degree)
+    return dec, seed
+
+
+class TestMinimalFactor:
+    @settings(max_examples=60, deadline=None)
+    @given(factor_cases())
+    def test_factor_reproduces_every_gram(self, case):
+        dec, seed = case
+        small, factor = minimal_factor(dec)
+        keys = [t for lev in range(dec.degree + 1) for t in multi_indices(dec.n, lev)]
+        pairs = polydisk_pairs(dec.n, dec.radius, 5, seed)
+        mismatch = 0.0
+        for big, cut in zip(dec.components, small.components):
+            c_big, c_cut = stacked_rows(big, keys), stacked_rows(cut, keys)
+            gram = c_big.conj().T @ big.j.matrix @ c_big
+            tol = 1e-12 * max(1.0, np.linalg.norm(c_big, 2) ** 2)
+            diff = np.linalg.norm(gram - c_cut.conj().T @ cut.j.matrix @ c_cut, 2)
+            assert diff <= tol
+            mismatch = max(mismatch, diff)
+            for lam, z in pairs:
+                lhs = big.value(lam).conj().T @ big.j.matrix @ big.value(z)
+                rhs = cut.value(lam).conj().T @ cut.j.matrix @ cut.value(z)
+                assert np.linalg.norm(lhs - rhs, 2) <= tol
+            # fewest rows: the Gram's rank, split as its inertia (cut.j signs the
+            # m_plus rows first, so the Gram check above pins the row order);
+            # a product Gram carries roundoff of order eps ||C_k||^2
+            w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+            assert (cut.m_plus, cut.m_minus) == (np.sum(w > tol), np.sum(w < -tol))
+        assert factor == pytest.approx(mismatch, abs=1e-14 * max(1.0, mismatch))
+
+    def test_factor_measures_dropped_eigenvalue(self):
+        # a direction whose Gram eigenvalue (1e-12) sits below the rank cut
+        # is dropped, and the defect reports exactly what was lost
+        series = TruncatedOperatorSeries(
+            n=1, degree=1, coefficients={(0,): np.diag([1.0, 1e-6]), (1,): np.zeros((2, 2))}
+        )
+        comp = DecompositionComponent(index=0, m_plus=2, m_minus=0, series=series)
+        dec = AglerDecomposition(
+            n=1, epsilon=1.0, components=(comp,), radius=0.5, degree=1, eta=0.0
+        )
+        small, factor = minimal_factor(dec)
+        assert small.components[0].dim == 1
+        assert factor == pytest.approx(1e-12, rel=1e-6)
+        np.testing.assert_allclose(small.f0().conj().T @ small.f0(), np.diag([1.0, 0.0]))
+
+    def test_zero_component_keeps_no_rows(self):
+        # G_2 = 0 with a unitary G_1 takes the exact branch, and F_2 = 0
+        from kreinsys.systems import SystemOperatorTuple
+
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        g = SystemOperatorTuple((swap, np.zeros((2, 2))), 1, 1, 1)
+        dec = construct_pencil_decomposition(g, 1.0, 3)
+        small, factor = minimal_factor(dec)
+        assert dec.exact
+        assert [c.dim for c in small.components] == [2, 0]
+        assert factor == 0.0
+        np.testing.assert_allclose(small.f0().conj().T @ small.f0(), np.eye(2), atol=1e-15)

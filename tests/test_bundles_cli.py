@@ -412,11 +412,24 @@ class TestCliCommands:
             ]
         )
         assert code == 0
-        assert "state dim 3" in capsys.readouterr().out
+        assert "state dim 1" in capsys.readouterr().out
         code = main(["verify-dilation", unit_bundle, str(dil_path), "--tol", "1e-10"])
         out = capsys.readouterr().out
         assert code == 0
         assert "compression" in out and "conservativity" in out
+
+    def test_dilate_readme_bundle_seed_807(self, tmp_path, capsys):
+        # the explicit rows gave a dilation that is not power-stable on the
+        # sampling polydisk, and lin-tf failed at 1.9e-4 for this seed
+        system = str(tmp_path / "n2.json")
+        gen = ["gen", "--n", "2", "--state-dim", "3", "--input-dim", "2", "--signs", "++-"]
+        assert main(gen + ["--seed", "0", "--out", system]) == 0
+        capsys.readouterr()
+        args = ["dilate", system, "--degree", "20", "--tol", "1e-4", "--samples", "25"]
+        code = main(args + ["--seed", "807", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["pass"]
+        assert report["residuals"]["lin-tf"] < 1e-5
 
     def test_dilate_stage_failure_names_stage(self, hyp_bundle, capsys):
         code = main(["dilate", hyp_bundle, "--degree", "12", "--tol", "1e-8"])
@@ -554,11 +567,13 @@ class TestCliContract:
 
     def test_non_finite_dilation_bundle_exits_two(self, unit_bundle, tmp_path, capsys):
         dil_path = tmp_path / "dil.json"
-        args = ["dilate", unit_bundle, "--epsilon", "1", "--degree", "4", "--out", str(dil_path)]
-        assert main(args) == 0
+        # scale 2 leaves the exact branch, so the dilated state has room for the swap
+        args = ["dilate", unit_bundle, "--epsilon", "2", "--degree", "6", "--tol", "1e-2"]
+        assert main(args + ["--out", str(dil_path)]) == 0
         capsys.readouterr()
         good = json.loads(dil_path.read_text())
         n = good["system"]["dims"]["state"]
+        assert n >= 2
         swap = np.eye(n)[[1, 0, *range(2, n)]]  # a hermitian involution, not diagonal
         half = np.diag([0.5] + [1.0] * (n - 1))
         non_finite = "has a non-finite entry"

@@ -43,9 +43,10 @@ class TestMatrixUnitExact:
         self.res = build_dilation(self.alpha, self.dec, tol=1e-10)
 
     def test_state_and_symmetry(self):
-        # K_0 has dimension 2, so the dilated state is 3-dimensional
-        assert self.res.state_dim == 3
-        assert self.res.j.signature == (3, 0)
+        # each G_k has rank one, so the minimal factor has M = q = 2 rows,
+        # K_0 is trivial and the dilated state is the original one
+        assert self.res.state_dim == 1
+        assert self.res.j.signature == (1, 0)
         assert self.res.k2_dim == 0
 
     def test_all_defects_at_machine_level(self):
@@ -136,8 +137,8 @@ class TestBuildU:
         # column of F - F(0) stacked with the degree-n column of zG
         alpha, _ = hyperbolic_system()
         g = system_operators(alpha)
-        dec = make_dec(alpha, 2.0, 8)
-        res = build_dilation(alpha, dec, tol=1e-2)
+        res = build_dilation(alpha, make_dec(alpha, 2.0, 8), tol=1e-2)
+        dec = res.decomposition
         phi0, j0, jm = res.k0_basis, res.k0_symmetry, dec.j_m()
         k0 = phi0.shape[1]
         for t in range(1, dec.degree + 1):
@@ -165,10 +166,9 @@ class TestVerifiers:
     def test_linear_tf_negative_control(self):
         # an identity in place of the matched extension breaks the realization
         alpha, _ = hyperbolic_system()
-        dec = make_dec(alpha, 2.0, 8)
-        res = build_dilation(alpha, dec, tol=1e-2)
+        res = build_dilation(alpha, make_dec(alpha, 2.0, 8), tol=1e-2)
         k0 = res.k0_basis.shape[1]
-        t_tilde = np.hstack([res.k0_basis, dec.f0()])
+        t_tilde = np.hstack([res.k0_basis, res.decomposition.f0()])
         bad = MultiparametricSystem(
             n=1,
             a=(t_tilde[:k0, :k0],),
@@ -182,12 +182,13 @@ class TestVerifiers:
     def test_linear_tf_zero_horizon(self):
         alpha, _ = matrix_unit_system()
         res = build_dilation(alpha, make_dec(alpha, 1.0, 4), tol=1e-10)
+        k0 = res.k0_basis.shape[1]
         check = MultiparametricSystem(
             n=2,
-            a=tuple(m[:2, :2] for m in res.check_operators),
-            b=tuple(m[:2, 2:] for m in res.check_operators),
-            c=tuple(m[2:, :2] for m in res.check_operators),
-            d=tuple(m[2:, 2:] for m in res.check_operators),
+            a=tuple(m[:k0, :k0] for m in res.check_operators),
+            b=tuple(m[:k0, k0:] for m in res.check_operators),
+            c=tuple(m[k0:, :k0] for m in res.check_operators),
+            d=tuple(m[k0:, k0:] for m in res.check_operators),
         )
         g = system_operators(alpha)
         assert verify_linear_tf(check, g, disk_points(2, 0.5, 20, 4)) <= 1e-13
