@@ -9,7 +9,6 @@ from .krein import (  # noqa: F401
     SignatureMismatchError,
     signature,
     j_unitarity_defect,
-    j_orthogonal_projection,
     regularize_subspace,
     extend_j_isometry,
 )
@@ -59,7 +58,6 @@ from .agler import (  # noqa: F401
 )
 from .dilation import (  # noqa: F401
     DilationResult,
-    build_U,
     build_dilation,
     verify_dilation,
     verify_linear_tf,

@@ -344,7 +344,6 @@ def dilation_to_bundle(
         "format": DILATION_FORMAT,
         "system": system_to_bundle(result.alpha_tilde, j=result.j),
         "defects": {k: float(v) for k, v in result.defects.items()},
-        "k2_dim": result.k2_dim,
     }
     if original is not None:
         dx, du, dy = original.dims
@@ -355,7 +354,9 @@ def dilation_to_bundle(
 
 
 def dilation_from_bundle(data: dict):
-    """Parse a dilation bundle; returns (system, symmetry, defects, k2_dim)."""
+    """Parse a dilation bundle; returns (system, symmetry, defects).
+
+    The always-zero ``k2_dim`` field of older bundles is ignored."""
     _expect(data, DILATION_FORMAT)
     try:
         system, j, _ = system_from_bundle(data["system"])
@@ -364,7 +365,7 @@ def dilation_from_bundle(data: dict):
         defects = {
             str(k): float(_finite(v, f"defects.{k}")) for k, v in data["defects"].items()
         }
-        return system, j, defects, int(data["k2_dim"])
+        return system, j, defects
     except BundleError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

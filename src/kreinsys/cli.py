@@ -232,8 +232,7 @@ def cmd_dilate(args) -> int:
     result = build_dilation(system, dec, tol=args.tol, samples=args.samples, seed=args.seed)
     say(
         f"dilated state dim {result.alpha_tilde.state_dim}"
-        f" (from {system.state_dim}), symmetry signature {result.j.signature},"
-        f" k2 dim {result.k2_dim}"
+        f" (from {system.state_dim}), symmetry signature {result.j.signature}"
     )
     report = {
         "command": "dilate",
@@ -242,7 +241,6 @@ def cmd_dilate(args) -> int:
         "state_dim": result.alpha_tilde.state_dim,
         "original_state_dim": system.state_dim,
         "signature": list(result.j.signature),
-        "k2_dim": result.k2_dim,
     }
     if args.out:
         bundles.save_bundle(
@@ -297,7 +295,7 @@ def cmd_realize(args) -> int:
 
 def cmd_verify_dilation(args) -> int:
     system, _, _ = _load_system(args.bundle)
-    alpha_tilde, j, stored, k2_dim = bundles.dilation_from_bundle(
+    alpha_tilde, j, stored = bundles.dilation_from_bundle(
         bundles.load_bundle(args.dilation, bundles.DILATION_FORMAT)
     )
     say = _printer(args)
@@ -306,14 +304,13 @@ def cmd_verify_dilation(args) -> int:
     say(
         f"dilation state dim {alpha_tilde.state_dim} over original"
         f" {system.state_dim}; stored build defects"
-        f" max {max(stored.values()):.3e}, k2 dim {k2_dim}"
+        f" max {max(stored.values()):.3e}"
     )
     report = {
         "command": "verify-dilation",
         "state_dim": alpha_tilde.state_dim,
         "original_state_dim": system.state_dim,
         "stored_defects": stored,
-        "k2_dim": k2_dim,
     }
     return _finish(args, report, dict(rep))
 

@@ -83,7 +83,6 @@ class DilationResult:
     u_matrix: np.ndarray
     k0_basis: np.ndarray
     k0_symmetry: CanonicalSymmetry
-    k2_dim: int
     defects: dict
 
     @property
@@ -95,7 +94,8 @@ class DilationResult:
 
 
 class _Assembly:
-    """Shared spadework for build_U and build_dilation."""
+    """Shared spadework of build_dilation: K_0, the stacked coefficients, and
+    the domain and range columns whose matching defines U."""
 
     def __init__(self, dec: AglerDecomposition, g: SystemOperatorTuple):
         if g.input_dim != g.output_dim:
@@ -208,20 +208,6 @@ class _Assembly:
         return dom, images, max(iso, lsq)
 
 
-def build_U(dec: AglerDecomposition, g: SystemOperatorTuple, tol: float = 1e-8):
-    """Column-matching isometry from the shifted F-span to the target span.
-
-    Returns (u, dom, ran, defect): ``u`` holds the images of the columns
-    of ``dom.basis`` in K_0 (+) C^q coordinates, ``ran`` is the image
-    subspace, and ``defect`` is the indefinite Gram mismatch between the
-    two sides (the defect of U being a (J_M, J_0 (+) I_q)-isometry).
-    """
-    asm = _Assembly(minimal_factor(dec)[0], g)
-    dom, images, defect = asm.reduce_spans(tol)
-    ran = KreinSubspace.from_basis(images, asm.j_ran)
-    return images, dom, ran, defect
-
-
 def verify_linear_tf(check_system: MultiparametricSystem, g, z_samples, n_max=None):
     """Residual of the check system realizing the linear function zG.
 
@@ -297,6 +283,11 @@ def _disk_samples(n, radius, count, seed):
     return radius / np.sqrt(2) * pts
 
 
+def _gate(defects, name, tol):
+    if defects[name] > tol:
+        raise ValueError(f"stage '{name}' residual {defects[name]:.3e} exceeds tol {tol:.1e}")
+
+
 def build_dilation(
     alpha: MultiparametricSystem,
     dec: AglerDecomposition,
@@ -306,9 +297,8 @@ def build_dilation(
 ) -> DilationResult:
     """Assemble a conservative dilation of alpha from a certified decomposition.
 
-    The result's state is K_II (+) K_0 (+) X carrying J_II (+) J_0 (+) I_X
-    (K_II is empty whenever the companion extension succeeds directly), its
-    corner compressions reproduce alpha exactly, and its transfer function
+    The result's state is K_0 (+) X carrying J_0 (+) I_X, its corner
+    compressions reproduce alpha exactly, and its transfer function
     agrees with alpha's on the decomposition's polydisk within the reported
     defects.  Every named defect must come in below ``tol`` or the build
     fails naming the stage; signature obstructions in the extension step
@@ -323,38 +313,24 @@ def build_dilation(
     g = system_operators(alpha)
     dec, factor = minimal_factor(dec)
     defects = {"factor": factor}
-    if defects["factor"] > tol:
-        raise ValueError(
-            f"stage 'factor' residual {defects['factor']:.3e} exceeds tol {tol:.1e}"
-        )
+    _gate(defects, "factor", tol)
 
     asm = _Assembly(dec, g)
     defects["semiunitarity"] = float(asm.semiunitarity)
-    if defects["semiunitarity"] > tol:
-        raise ValueError(
-            f"stage 'semiunitarity' residual {defects['semiunitarity']:.3e} "
-            f"exceeds tol {tol:.1e}"
-        )
+    _gate(defects, "semiunitarity", tol)
 
     dom, images, iso_defect = asm.reduce_spans(tol)
     defects["isometry"] = float(iso_defect)
-    if defects["isometry"] > tol:
-        raise ValueError(
-            f"stage 'isometry' residual {defects['isometry']:.3e} exceeds tol {tol:.1e}"
-        )
+    _gate(defects, "isometry", tol)
 
-    k2_dim, _, u_full = extend_j_isometry(
+    u_full = extend_j_isometry(
         dom, asm.j_m, KreinSubspace.from_basis(images, asm.j_ran), asm.j_ran,
         images, tol=max(tol, 10 * iso_defect),
     )
     restrict = opnorm(u_full @ dom.basis - images)
     ext_defect = max(j_unitarity_defect(u_full, asm.j_m, asm.j_ran))
     defects["extension"] = float(max(restrict, ext_defect))
-    if defects["extension"] > tol:
-        raise ValueError(
-            f"stage 'extension' residual {defects['extension']:.3e} "
-            f"exceeds tol {tol:.1e}"
-        )
+    _gate(defects, "extension", tol)
 
     # G-check_k = U-full P_k [Phi_0 | F(0)] on K_0 (+) C^q
     t_tilde = np.hstack([asm.phi0, asm.f0])
@@ -391,11 +367,7 @@ def build_dilation(
     j_tilde = CanonicalSymmetry.direct_sum(asm.j0, CanonicalSymmetry.identity(dx))
     cons = max(cons, max(jconservativity_defect(alpha_tilde, j_tilde)))
     defects["conservativity"] = float(cons)
-    if defects["conservativity"] > tol:
-        raise ValueError(
-            f"stage 'conservativity' residual {defects['conservativity']:.3e} "
-            f"exceeds tol {tol:.1e}"
-        )
+    _gate(defects, "conservativity", tol)
 
     z_samples = _disk_samples(asm.n, dec.radius, samples, seed)
     if dec.exact:
@@ -403,19 +375,13 @@ def build_dilation(
     else:
         horizon = min(check_system.state_dim + 2, max(dec.degree - 2, 0))
     defects["lin-tf"] = verify_linear_tf(check_system, g, z_samples, n_max=horizon)
-    if defects["lin-tf"] > tol:
-        raise ValueError(
-            f"stage 'lin-tf' residual {defects['lin-tf']:.3e} exceeds tol {tol:.1e}"
-        )
+    _gate(defects, "lin-tf", tol)
 
     defects["compression"], defects["transfer-coincidence"] = _compression_and_transfer(
         alpha, alpha_tilde, z_samples
     )
-    for name in ("compression", "transfer-coincidence"):
-        if defects[name] > tol:
-            raise ValueError(
-                f"stage '{name}' residual {defects[name]:.3e} exceeds tol {tol:.1e}"
-            )
+    _gate(defects, "compression", tol)
+    _gate(defects, "transfer-coincidence", tol)
 
     return DilationResult(
         alpha_tilde=alpha_tilde,
@@ -425,6 +391,5 @@ def build_dilation(
         u_matrix=u_full,
         k0_basis=asm.phi0,
         k0_symmetry=asm.j0,
-        k2_dim=k2_dim,
         defects=defects,
     )

@@ -4,9 +4,8 @@ A Krein space here is C^n equipped with the indefinite inner product
 [x, y] = <J x, y>, where the canonical symmetry J is a signature matrix
 diag(+-1), stored as its sign vector.  The module provides the primitives the
 rest of the package leans on: unitarity defects between two such
-metrics, Gram regularization of subspaces, J-orthogonal projections,
-and extension of a J-isometry defined on a subspace to a J-unitary
-operator on the whole space.
+metrics, Gram regularization of subspaces, and extension of a J-isometry
+defined on a subspace to a J-unitary operator on the whole space.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "SignatureMismatchError",
     "signature",
     "j_unitarity_defect",
-    "j_orthogonal_projection",
     "regularize_subspace",
     "j_companion_basis",
     "extend_j_isometry",
@@ -224,21 +222,6 @@ def j_unitarity_defect(g, j_in: CanonicalSymmetry, j_out: CanonicalSymmetry) -> 
     return (d1, d2)
 
 
-def j_orthogonal_projection(h, f0, j_m: CanonicalSymmetry, tol: float = 1e-8) -> np.ndarray:
-    """J-orthogonal projection of h onto the orthogonal complement of ran(f0).
-
-    Requires f0 to be J-semiunitary, f0* J f0 = I.  The projected vector
-    h0 = h - J f0 f0* h satisfies f0* h0 = 0 and J(h - h0) is orthogonal
-    to every vector annihilated by f0*.
-    """
-    h = _as_complex(h)
-    f0 = _as_complex(f0)
-    defect = hermitian_opnorm((f0.conj().T * j_m.signs) @ f0 - np.eye(f0.shape[1]))
-    if defect > tol:
-        raise ValueError(f"f0 is not J-semiunitary (defect {defect:.3e} > {tol:.1e})")
-    return h - j_m.apply(f0 @ (f0.conj().T @ h))
-
-
 def regularize_subspace(
     subspace: KreinSubspace, j: CanonicalSymmetry, tol: float = RANK_RTOL
 ) -> tuple[np.ndarray, CanonicalSymmetry]:
@@ -304,7 +287,7 @@ def extend_j_isometry(
     j_ran: CanonicalSymmetry,
     u: np.ndarray,
     tol: float = 1e-8,
-) -> tuple[int, CanonicalSymmetry, np.ndarray]:
+) -> np.ndarray:
     """Extend a J-isometry U : dom -> ran to a J-unitary on the full spaces.
 
     Parameters
@@ -320,11 +303,10 @@ def extend_j_isometry(
 
     Returns
     -------
-    (k2_dim, j2, u_full) where ``u_full`` maps the ``j_dom`` space to the
-    ``j_ran`` space, is (j_dom, j_ran)-unitary, and restricts to ``u`` on
-    ``dom``.  In finite dimensions a successful extension never needs an
-    auxiliary space, so ``k2_dim`` is 0 and ``j2`` is empty; the value is
-    kept in the interface for callers that track the padded layout.
+    u_full : ndarray
+        Maps the ``j_dom`` space to the ``j_ran`` space, is
+        (j_dom, j_ran)-unitary, and restricts to ``u`` on ``dom``.  In
+        finite dimensions a successful extension needs no auxiliary space.
 
     Degenerate subspaces are handled: a neutral direction of ``dom``
     maps to a neutral direction of ``ran`` (their Grams agree), and both
@@ -398,7 +380,7 @@ def extend_j_isometry(
     s_dom = np.hstack([dom.basis, wd])
     s_ran = np.hstack([u, wr])
     u_full = s_ran @ np.linalg.solve(s_dom, np.eye(s_dom.shape[0], dtype=np.complex128))
-    return 0, CanonicalSymmetry.identity(0), u_full
+    return u_full
 
 
 def hermitian_sqrt(h, neg_tol: float = 1e-10) -> np.ndarray:

@@ -24,70 +24,14 @@ from .transfer import (
     eval_series,
     eval_transfer,
     multi_indices,
+    taylor_coefficients,
 )
 
 MAX_DEFAULT_REGISTER_DEGREE = 6
 
-#: widest complex dtype on this platform, for the coefficient match report
+#: widest complex dtype on this platform, for the coefficient match report:
+#: float64 roundoff on the large dilated state would swamp its construction error
 _WIDE = getattr(np, "complex256", np.complex128)
-
-
-def _coefficient_probe(system: MultiparametricSystem, degree: int):
-    """Taylor coefficients of the transfer function in extended precision.
-
-    The dilated state is large and its blocks are not small, so the
-    float64 coefficient recursion carries evaluation roundoff well above
-    the construction error of the system itself.  Running the recursion
-    on the B-columns in the widest available float measures the system,
-    not the evaluator.  Returns {t: ndarray} in complex128.
-    """
-    n = system.n
-    a = [m.astype(_WIDE) for m in system.a]
-    b = [m.astype(_WIDE) for m in system.b]
-    c = [m.astype(_WIDE) for m in system.c]
-    zero = (0,) * n
-
-    def bump(t, k):
-        return t[:k] + (t[k] + 1,) + t[k + 1 :]
-
-    # w[k][s] = P_s B_k with P_0 = I, P_s = sum_l A_l P_{s - e_l}
-    w = [{zero: b[k]} for k in range(n)]
-    for level in range(1, max(degree - 1, 0)):
-        for s in multi_indices(n, level):
-            for k in range(n):
-                acc = None
-                for l in range(n):
-                    if s[l] == 0:
-                        continue
-                    prev = w[k].get(s[:l] + (s[l] - 1,) + s[l + 1 :])
-                    if prev is None:
-                        continue
-                    term = a[l] @ prev
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    w[k][s] = acc
-
-    out = {}
-    for k in range(n):
-        out[bump(zero, k)] = system.d[k].astype(np.complex128)
-    for level in range(2, degree + 1):
-        for t in multi_indices(n, level):
-            acc = None
-            for j in range(n):
-                if t[j] == 0:
-                    continue
-                tj = t[:j] + (t[j] - 1,) + t[j + 1 :]
-                for k in range(n):
-                    if tj[k] == 0:
-                        continue
-                    ws = w[k].get(tj[:k] + (tj[k] - 1,) + tj[k + 1 :])
-                    if ws is None:
-                        continue
-                    term = c[j] @ ws
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                out[t] = acc.astype(np.complex128)
-    return out
 
 
 def _word_normalization(t):
@@ -217,7 +161,9 @@ def jconservative_realization(
 
     dy, du = theta.shape
     m = max(du, dy)
-    realized = _coefficient_probe(dil.alpha_tilde, d)
+    realized = taylor_coefficients(
+        dil.alpha_tilde, d, allow_large_degree=True, dtype=_WIDE
+    ).coefficients
     zero_block = np.zeros((m, m), dtype=np.complex128)
     residuals = {}
     for level in range(1, d + 1):

@@ -34,7 +34,6 @@ __all__ = [
     "fourier_grid",
     "torus_coefficient_defects",
     "random_jconservative",
-    "one_parameter_slice",
     "pad_io",
 ]
 
@@ -303,20 +302,6 @@ def random_jconservative(
     ops = tuple(v @ (q[:, g] @ q[:, g].conj().T) for g in groups)
     tup = SystemOperatorTuple(ops, state_dim, input_dim, input_dim)
     return system_from_operators(tup), j
-
-
-def one_parameter_slice(system: MultiparametricSystem, z) -> MultiparametricSystem:
-    """Single-direction system with blocks sum_k z_k A_k etc."""
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    if z.size != system.n:
-        raise ValueError(f"expected {system.n} slice coefficients")
-    return MultiparametricSystem(
-        n=1,
-        a=(_mix(system.a, z),),
-        b=(_mix(system.b, z),),
-        c=(_mix(system.c, z),),
-        d=(_mix(system.d, z),),
-    )
 
 
 def pad_io(system: MultiparametricSystem) -> MultiparametricSystem:

@@ -13,7 +13,6 @@ on sample points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "TailBound",
     "TruncatedOperatorSeries",
     "EvalResult",
-    "resolvent",
     "eval_transfer",
     "taylor_coefficients",
     "eval_series",
@@ -93,15 +91,6 @@ def _transfer_parts(system: MultiparametricSystem, z):
         return np.zeros(zb.shape, dtype=np.complex128), zd
     x = zgetrs(*_lu(system, z), zb)[0]
     return x, zd + _mix(system.c, z) @ x
-
-
-def resolvent(system: MultiparametricSystem, z) -> np.ndarray:
-    """(I - zA)^{-1} by LU solve, rejecting ill-conditioned points."""
-    z = _check_point(system, z)
-    eye = np.eye(system.state_dim, dtype=np.complex128)
-    if system.state_dim == 0:
-        return eye
-    return zgetrs(*_lu(system, z), eye)[0]
 
 
 def eval_transfer(system: MultiparametricSystem, z) -> np.ndarray:
@@ -223,14 +212,20 @@ def _series_tail_for_system(system: MultiparametricSystem) -> TailBound:
 
 
 def taylor_coefficients(
-    system: MultiparametricSystem, d: int, allow_large_degree: bool = False
+    system: MultiparametricSystem,
+    d: int,
+    allow_large_degree: bool = False,
+    dtype=np.complex128,
 ) -> TruncatedOperatorSeries:
     """Taylor coefficients theta_hat_t for 1 <= |t| <= d.
 
     The coefficient at t sums C_{k_0} A_{k_1} ... A_{k_{m-2}} B_{k_{m-1}}
     over all words whose direction counts equal t (plus D_k at |t| = 1).
-    Computed by the equivalent level recursion P_s = sum_k A_k P_{s-e_k},
-    theta_hat_t = sum_{j,k} C_j P_{t-e_j-e_k} B_k.
+    Computed on the B-columns by the recursion W_{0,k} = B_k,
+    W_{s,k} = sum_l A_l W_{s-e_l,k}, theta_hat_t = sum_{j,k} C_j W_{t-e_j-e_k,k},
+    carried out in ``dtype`` (a wider complex type measures the system
+    rather than float64 evaluation roundoff) and returned in complex128.
+    Exactly zero coefficients are omitted.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -239,38 +234,35 @@ def taylor_coefficients(
             f"degree {d} exceeds the default cap {MAX_DEFAULT_DEGREE}; "
             "pass allow_large_degree=True to override"
         )
-    n, dx = system.n, system.state_dim
+    n = system.n
+    a = [m.astype(dtype) for m in system.a]
+    c = [m.astype(dtype) for m in system.c]
+
+    def lower(s, k):
+        return s[:k] + (s[k] - 1,) + s[k + 1 :]
+
     coeffs: dict[tuple, np.ndarray] = {}
     for k in range(n):
-        t = tuple(1 if i == k else 0 for i in range(n))
-        coeffs[t] = coeffs.get(t, 0) + system.d[k]
+        coeffs[tuple(1 if i == k else 0 for i in range(n))] = system.d[k].copy()
 
-    # powers of the pencil: P_0 = I, P_s = sum_k A_k P_{s - e_k}
-    p: dict[tuple, np.ndarray] = {(0,) * n: np.eye(dx, dtype=np.complex128)}
+    # w[k][s] = W_{s,k}, levels 0 .. d - 2
+    w = [{(0,) * n: m.astype(dtype)} for m in system.b]
     for level in range(1, d - 1):
         for s in multi_indices(n, level):
-            acc = np.zeros((dx, dx), dtype=np.complex128)
-            for k in range(n):
-                if s[k] == 0:
-                    continue
-                prev = tuple(s[i] - (1 if i == k else 0) for i in range(n))
-                acc += system.a[k] @ p[prev]
-            p[s] = acc
+            for wk in w:
+                wk[s] = sum(a[l] @ wk[lower(s, l)] for l in range(n) if s[l])
 
     for level in range(2, d + 1):
         for t in multi_indices(n, level):
-            acc = np.zeros((system.output_dim, system.input_dim), dtype=np.complex128)
-            for jj in range(n):
-                if t[jj] == 0:
+            acc = np.zeros((system.output_dim, system.input_dim), dtype=dtype)
+            for j in range(n):
+                if t[j] == 0:
                     continue
-                for kk in range(n):
-                    s = list(t)
-                    s[jj] -= 1
-                    s[kk] -= 1
-                    if s[kk] < 0:
-                        continue
-                    acc += system.c[jj] @ p[tuple(s)] @ system.b[kk]
-            if np.any(acc != 0):
+                tj = lower(t, j)
+                for k in range(n):
+                    if tj[k]:
+                        acc += c[j] @ w[k][lower(tj, k)]
+            if np.any(acc):
                 coeffs[t] = acc
     return TruncatedOperatorSeries(
         n=n, degree=d, coefficients=coeffs, tail=_series_tail_for_system(system)

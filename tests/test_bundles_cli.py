@@ -104,12 +104,29 @@ class TestBundleRoundTrips:
         dec = construct_pencil_decomposition(g, 1.0, 4, radius=0.5)
         result = build_dilation(system, dec, tol=1e-8)
         data = bundles.dilation_to_bundle(result, original=system)
-        back_sys, back_j, defects, k2 = bundles.dilation_from_bundle(data)
+        back_sys, back_j, defects = bundles.dilation_from_bundle(data)
         assert back_sys.state_dim == result.alpha_tilde.state_dim
         assert np.array_equal(back_j.matrix, result.j.matrix)
         assert defects == {k: float(v) for k, v in result.defects.items()}
-        assert k2 == result.k2_dim
         assert data["original_dims"] == {"state": 1, "input": 1, "output": 1}
+        assert "k2_dim" not in data
+
+    def test_dilation_bundle_with_k2_dim_loads(self, tmp_path):
+        # older writers stored an always-zero k2_dim field
+        system, _ = matrix_unit_system()
+        dec = construct_pencil_decomposition(system_operators(system), 1.0, 4, radius=0.5)
+        path = tmp_path / "dil.json"
+        bundles.save_bundle(bundles.dilation_to_bundle(build_dilation(system, dec)), path)
+        data = bundles.load_bundle(path, bundles.DILATION_FORMAT)
+        bundles.save_bundle(dict(data, k2_dim=0), tmp_path / "old.json")
+        old = bundles.load_bundle(tmp_path / "old.json", bundles.DILATION_FORMAT)
+        new_sys, new_j, new_defects = bundles.dilation_from_bundle(data)
+        old_sys, old_j, old_defects = bundles.dilation_from_bundle(old)
+        for name in ("a", "b", "c", "d"):
+            for lhs, rhs in zip(getattr(new_sys, name), getattr(old_sys, name)):
+                assert np.array_equal(lhs, rhs)
+        assert np.array_equal(new_j.signs, old_j.signs)
+        assert new_defects == old_defects
 
     def test_canonical_text_is_deterministic(self):
         system, j = random_jconservative(2, 2, 2, seed=3)
@@ -361,6 +378,16 @@ class TestCliCommands:
             np.allclose(m, 0) for t, m in coeffs.items() if t != (0, 1)
         )
 
+    def test_transfer_taylor_json_omits_zero_coefficients(self, tmp_path, capsys):
+        system = str(tmp_path / "n2.json")
+        gen = ["gen", "--n", "2", "--state-dim", "3", "--input-dim", "2", "--signs", "++-"]
+        assert main(gen + ["--seed", "0", "--out", system]) == 0
+        capsys.readouterr()
+        assert main(["transfer", system, "--degree", "8", "--json"]) == 0
+        indices = [tuple(t) for t, _ in json.loads(capsys.readouterr().out)["taylor"]["coefficients"]]
+        assert len(indices) == 37
+        assert not [t for t in indices if t[0] == 0 and t[1] >= 2]
+
     def test_transfer_needs_a_request(self, hyp_bundle):
         assert main(["transfer", hyp_bundle]) == 2
 
@@ -435,7 +462,7 @@ class TestCliCommands:
         code = main(["dilate", hyp_bundle, "--degree", "12", "--tol", "1e-8"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "lin-tf" in captured.err
+        assert re.search(r"stage 'lin-tf' residual \S+ exceeds tol 1\.0e-08", captured.err)
 
     def test_realize_degree_one_series(self, tmp_path, capsys):
         series = TruncatedOperatorSeries(

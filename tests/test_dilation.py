@@ -1,20 +1,21 @@
 """Tests for the conservative dilation pipeline."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kreinsys.agler import construct_pencil_decomposition
+from kreinsys.agler import construct_pencil_decomposition, minimal_factor
 from kreinsys.dilation import (
     DEFECT_NAMES,
-    build_U,
+    _Assembly,
     build_dilation,
     verify_dilation,
     verify_linear_tf,
 )
-from kreinsys.krein import CanonicalSymmetry
+from kreinsys.krein import CanonicalSymmetry, KreinSubspace
 from kreinsys.systems import (
     MultiparametricSystem,
     jconservativity_defect,
@@ -47,7 +48,6 @@ class TestMatrixUnitExact:
         # K_0 is trivial and the dilated state is the original one
         assert self.res.state_dim == 1
         assert self.res.j.signature == (1, 0)
-        assert self.res.k2_dim == 0
 
     def test_all_defects_at_machine_level(self):
         assert set(self.res.defects) == set(DEFECT_NAMES)
@@ -131,6 +131,13 @@ class TestZeroSystem:
             assert abs(eval_transfer(res.alpha_tilde, z)[0, 0]) <= 1e-6
 
 
+def reduce_spans(system, epsilon, degree, tol=1e-8):
+    """Column-matching spans (dom, images, ran, defect) of the minimal factor."""
+    asm = _Assembly(minimal_factor(make_dec(system, epsilon, degree))[0], system_operators(system))
+    dom, images, defect = asm.reduce_spans(tol)
+    return dom, images, KreinSubspace.from_basis(images, asm.j_ran), defect
+
+
 class TestBuildU:
     def test_hyperbolic_column_matching(self):
         # U sends the degree-(n+1) column of zF to the degree-(n+1)
@@ -150,14 +157,14 @@ class TestBuildU:
 
     def test_span_dimensions_agree(self):
         alpha, _ = hyperbolic_system()
-        u, dom, ran, defect = build_U(make_dec(alpha, 2.0, 10), system_operators(alpha))
+        dom, u, ran, defect = reduce_spans(alpha, 2.0, 10)
         assert dom.dim == ran.dim == u.shape[1]
         assert defect <= 1e-12
         assert dom.is_regular() and ran.is_regular()
 
     def test_matrix_unit_exact_spans(self):
         alpha, _ = matrix_unit_system()
-        u, dom, ran, defect = build_U(make_dec(alpha, 1.0, 4), system_operators(alpha))
+        dom, u, ran, defect = reduce_spans(alpha, 1.0, 4)
         assert dom.dim == 2
         assert defect <= 1e-14
 
@@ -243,8 +250,18 @@ class TestErrorPaths:
 
     def test_failure_names_stage(self):
         alpha, _ = hyperbolic_system()
-        with pytest.raises(ValueError, match="lin-tf"):
+        with pytest.raises(ValueError, match=r"stage 'lin-tf' residual \S+ exceeds tol 1\.0e-06"):
             build_dilation(alpha, make_dec(alpha, 2.0, 6), tol=1e-6)
+
+    def test_first_failing_stage_stops_the_build(self):
+        # the minimal factor of this decomposition is off by a few ulps, so
+        # a tiny tol fails the first stage before any later one runs
+        alpha, _ = hyperbolic_system()
+        with pytest.raises(ValueError) as info:
+            build_dilation(alpha, make_dec(alpha, 3.0, 6), tol=1e-20)
+        message = str(info.value)
+        assert re.fullmatch(r"stage 'factor' residual \S+ exceeds tol 1\.0e-20", message)
+        assert "lin-tf" not in message and "transfer-coincidence" not in message
 
 
 def test_dilation_demo_script_runs(capsys):

@@ -12,7 +12,6 @@ from kreinsys.systems import (
     conjugate_system,
     fourier_grid,
     jconservativity_defect,
-    one_parameter_slice,
     pad_io,
     random_jconservative,
     system_from_operators,
@@ -206,16 +205,7 @@ class TestSliceAndPadding:
         rng = np.random.default_rng(seed)
         s, j = random_jconservative(n=2, state_dim=2, input_dim=1, seed=seed)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
-        sliced = one_parameter_slice(s, z)
-        assert sliced.n == 1
-        assert max(jconservativity_defect(sliced, j)) <= 1e-10
-
-    def test_slice_blocks_are_linear_combinations(self):
-        s = random_system(2, 2, 2, 2, seed=8)
-        z = np.array([2.0, -1.0 + 0.5j])
-        sliced = one_parameter_slice(s, z)
-        np.testing.assert_allclose(sliced.a[0], z[0] * s.a[0] + z[1] * s.a[1])
-        np.testing.assert_allclose(sliced.d[0], z[0] * s.d[0] + z[1] * s.d[1])
+        assert torus_check(s, j, [z]) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mix_is_the_generator_sum_bit_for_bit(self, n):

@@ -13,13 +13,15 @@ from kreinsys.transfer import (
     eval_series,
     eval_transfer,
     multi_indices,
-    resolvent,
     taylor_coefficients,
     z_transform_check,
 )
 
 from oracles import interpolated_coefficient, word_count, words_coefficient
 from test_systems import hyperbolic_system, matrix_unit_system, random_system
+
+#: the widest complex type of the platform, for the extended-precision recursion
+WIDE = getattr(np, "complex256", np.complex128)
 
 
 def contractive_random_system(n, dx, du, dy, seed, a_scale=0.4):
@@ -53,18 +55,12 @@ class TestEvalTransfer:
 
 
 class TestResolvent:
-    def test_identity_at_origin(self):
-        s = random_system(2, 3, 1, 1, seed=31)
-        np.testing.assert_allclose(resolvent(s, [0.0, 0.0]), np.eye(3), atol=1e-15)
+    """The resolvent gate on I - zA as eval_transfer meets it."""
 
     def test_matrix_unit_singular_point(self):
         s, _ = matrix_unit_system()
         with pytest.raises(ResolventError, match="singular"):
-            resolvent(s, [1.0, 0.0])
-
-    def test_hyperbolic_value(self):
-        s, _ = hyperbolic_system()
-        np.testing.assert_allclose(resolvent(s, [0.5]), [[8 / 3]], atol=1e-14)
+            eval_transfer(s, [1.0, 0.0])
 
 
 RESOLVENT_LIMIT = 1e12
@@ -123,12 +119,9 @@ class TestResolventGate:
             cond = np.linalg.cond(m)
             if cond > RESOLVENT_LIMIT:
                 with pytest.raises(ResolventError, match="singular"):
-                    resolvent(s, [1.0])
-                with pytest.raises(ResolventError, match="singular"):
                     eval_transfer(s, [1.0])
                 rejected += 1
                 continue
-            resolvent(s, [1.0])
             value = eval_transfer(s, [1.0])
             reference = s.d[0] + s.c[0] @ np.linalg.inv(m) @ s.b[0]
             err = np.linalg.norm(value - reference) / np.linalg.norm(reference)
@@ -138,9 +131,8 @@ class TestResolventGate:
 
     def test_exactly_singular_point(self):
         s = pencil_system(np.diag([0.0, 0.5, 1.3]).astype(np.complex128))
-        for fn in (resolvent, eval_transfer):
-            with pytest.raises(ResolventError, match="singular"):
-                fn(s, [1.0])
+        with pytest.raises(ResolventError, match="singular"):
+            eval_transfer(s, [1.0])
 
     def test_non_finite_pencil(self):
         m = np.diag([0.5, 1.3]).astype(np.complex128)
@@ -151,20 +143,20 @@ class TestResolventGate:
         # ... and a finite one meets a non-finite pencil only at a non-finite point
         m[0, 1] = 0.25
         s = pencil_system(m)
-        for fn in (resolvent, eval_transfer):
-            with pytest.raises(ResolventError, match="non-finite"):
-                fn(s, [np.nan])
+        with pytest.raises(ResolventError, match="non-finite"):
+            eval_transfer(s, [np.nan])
 
 
 class TestTaylorCoefficients:
     def test_hyperbolic_geometric_coefficients(self):
         s, _ = hyperbolic_system()
-        series = taylor_coefficients(s, 8)
-        np.testing.assert_allclose(series.coefficient((1,)), [[1.25]], atol=1e-15)
-        for n in range(2, 9):
-            np.testing.assert_allclose(
-                series.coefficient((n,)), [[(9 / 16) * 1.25 ** (n - 2)]], atol=1e-13
-            )
+        for dtype in (np.complex128, WIDE):
+            series = taylor_coefficients(s, 8, dtype=dtype)
+            np.testing.assert_allclose(series.coefficient((1,)), [[1.25]], atol=1e-15)
+            for n in range(2, 9):
+                np.testing.assert_allclose(
+                    series.coefficient((n,)), [[(9 / 16) * 1.25 ** (n - 2)]], atol=1e-13
+                )
 
     def test_matrix_unit_single_coefficient(self):
         s, _ = matrix_unit_system()
@@ -196,11 +188,16 @@ class TestTaylorCoefficients:
                     series.coefficient(t), [[word_count(t)]], atol=1e-10
                 )
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_explicit_word_enumeration(self, seed):
+    # the complex128 runs keep their plain seed ids
+    @pytest.mark.parametrize(
+        "seed, dtype",
+        [pytest.param(seed, np.complex128, id=str(seed)) for seed in range(4)]
+        + [pytest.param(seed, WIDE, id=f"{seed}-wide") for seed in range(4)],
+    )
+    def test_matches_explicit_word_enumeration(self, seed, dtype):
         n = 2 + seed % 2
         s = random_system(n, 2, 2, 1, seed=40 + seed)
-        series = taylor_coefficients(s, 4)
+        series = taylor_coefficients(s, 4, dtype=dtype)
         for level in range(1, 5):
             for t in multi_indices(n, level):
                 np.testing.assert_allclose(
