@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .krein import (  # noqa: F401
     CanonicalSymmetry,
-    KreinSubspace,
     DegenerateSubspaceError,
     SignatureMismatchError,
     signature,

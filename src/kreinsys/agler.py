@@ -56,6 +56,7 @@ __all__ = [
     "epsilon_bounds",
     "construct_pencil_decomposition",
     "verify_kernel_identity",
+    "kernel_residual",
     "derived_zero_identities",
     "transform_identities",
     "prop2_functions",

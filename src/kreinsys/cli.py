@@ -52,6 +52,12 @@ def _stage_gate(args, name: str) -> float:
     return args.stage_tol.get(name, args.tol)
 
 
+def _abort_tol(args) -> float:
+    """Loosest gate of any stage: a staged build aborts only above it, so that
+    _finish judges every residual against its own gate."""
+    return max([args.tol, *args.stage_tol.values()])
+
+
 def _finish(args, report: dict, checked: dict) -> int:
     """Print the residual table (or JSON report) and derive the exit code."""
     checked = {k: float(v) for k, v in checked.items()}
@@ -229,7 +235,7 @@ def cmd_dilate(args) -> int:
     epsilon = args.epsilon if args.epsilon is not None else max(1.0, hi)
     degree = args.degree if args.degree is not None else 20
     dec = construct_pencil_decomposition(g, epsilon, degree, radius=args.radius)
-    result = build_dilation(system, dec, tol=args.tol, samples=args.samples, seed=args.seed)
+    result = build_dilation(system, dec, tol=_abort_tol(args), samples=args.samples, seed=args.seed)
     say(
         f"dilated state dim {result.alpha_tilde.state_dim}"
         f" (from {system.state_dim}), symmetry signature {result.j.signature}"
@@ -259,7 +265,7 @@ def cmd_realize(args) -> int:
     res = jconservative_realization(
         theta,
         d=args.degree,
-        tol=args.tol,
+        tol=_abort_tol(args),
         radius=args.radius,
         epsilon=args.epsilon,
         samples=args.samples,

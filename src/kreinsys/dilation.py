@@ -43,7 +43,6 @@ import numpy as np
 from .agler import AglerDecomposition, minimal_factor
 from .krein import (
     CanonicalSymmetry,
-    KreinSubspace,
     extend_j_isometry,
     hermitian_opnorm,
     j_companion_basis,
@@ -56,6 +55,7 @@ from .systems import (
     SystemOperatorTuple,
     _mix,
     jconservativity_defect,
+    system_from_operators,
     system_operators,
 )
 from .transfer import eval_transfer, multi_indices
@@ -119,10 +119,7 @@ class _Assembly:
         )
 
         # K_0 = Ker(F(0)* J_M), with a Gram-regularized basis Phi_0
-        raw = j_companion_basis(self.f0, self.j_m)
-        self.phi0, self.j0 = regularize_subspace(
-            KreinSubspace.from_basis(raw, self.j_m), self.j_m
-        )
+        self.phi0, self.j0 = regularize_subspace(j_companion_basis(self.f0, self.j_m), self.j_m)
         self.k0_dim = self.phi0.shape[1]
 
         # stacked coefficients of F at each multi-index, plus slot offsets
@@ -203,9 +200,9 @@ class _Assembly:
                 f"column matching is inconsistent (least-squares residual "
                 f"{lsq:.3e} > {tol:.1e}); the decomposition is not accurate enough"
             )
-        dom = KreinSubspace.from_basis(basis, self.j_m)
-        iso = hermitian_opnorm((images.conj().T * self.j_ran.signs) @ images - dom.gram)
-        return dom, images, max(iso, lsq)
+        gram = (basis.conj().T * self.j_m.signs) @ basis
+        iso = hermitian_opnorm((images.conj().T * self.j_ran.signs) @ images - gram)
+        return basis, images, max(iso, lsq)
 
 
 def verify_linear_tf(check_system: MultiparametricSystem, g, z_samples, n_max=None):
@@ -319,15 +316,12 @@ def build_dilation(
     defects["semiunitarity"] = float(asm.semiunitarity)
     _gate(defects, "semiunitarity", tol)
 
-    dom, images, iso_defect = asm.reduce_spans(tol)
+    basis, images, iso_defect = asm.reduce_spans(tol)
     defects["isometry"] = float(iso_defect)
     _gate(defects, "isometry", tol)
 
-    u_full = extend_j_isometry(
-        dom, asm.j_m, KreinSubspace.from_basis(images, asm.j_ran), asm.j_ran,
-        images, tol=max(tol, 10 * iso_defect),
-    )
-    restrict = opnorm(u_full @ dom.basis - images)
+    u_full = extend_j_isometry(basis, asm.j_m, images, asm.j_ran, tol=max(tol, 10 * iso_defect))
+    restrict = opnorm(u_full @ basis - images)
     ext_defect = max(j_unitarity_defect(u_full, asm.j_m, asm.j_ran))
     defects["extension"] = float(max(restrict, ext_defect))
     _gate(defects, "extension", tol)
@@ -342,13 +336,7 @@ def build_dilation(
         pk_t[lo:hi] = t_tilde[lo:hi]
         g_check.append(u_full @ pk_t)
     check_ops = SystemOperatorTuple(tuple(g_check), k0, q, q)
-    check_system = MultiparametricSystem(
-        n=asm.n,
-        a=tuple(m[:k0, :k0] for m in g_check),
-        b=tuple(m[:k0, k0:] for m in g_check),
-        c=tuple(m[k0:, :k0] for m in g_check),
-        d=tuple(m[k0:, k0:] for m in g_check),
-    )
+    check_system = system_from_operators(check_ops)
 
     j_check = asm.j_ran
     cons = 0.0
@@ -356,14 +344,8 @@ def build_dilation(
         cons = max(cons, max(j_unitarity_defect(check_ops.pencil(zeta), j_check, j_check)))
 
     # re-partition the state as K_0 (+) X; inputs U, outputs Y
-    sx = k0 + dx
-    alpha_tilde = MultiparametricSystem(
-        n=asm.n,
-        a=tuple(m[:sx, :sx] for m in g_check),
-        b=tuple(m[:sx, sx:] for m in g_check),
-        c=tuple(m[sx:, :sx] for m in g_check),
-        d=tuple(m[sx:, sx:] for m in g_check),
-    )
+    du = q - dx
+    alpha_tilde = system_from_operators(SystemOperatorTuple(tuple(g_check), k0 + dx, du, du))
     j_tilde = CanonicalSymmetry.direct_sum(asm.j0, CanonicalSymmetry.identity(dx))
     cons = max(cons, max(jconservativity_defect(alpha_tilde, j_tilde)))
     defects["conservativity"] = float(cons)

@@ -10,14 +10,13 @@ defined on a subspace to a J-unitary operator on the whole space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh, null_space
 
 __all__ = [
     "CanonicalSymmetry",
-    "KreinSubspace",
     "DegenerateSubspaceError",
     "SignatureMismatchError",
     "signature",
@@ -43,6 +42,14 @@ INVOLUTION_TOL = 1e-12
 
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
+
+
+def _as_basis(a) -> np.ndarray:
+    """A basis matrix: the spanning vectors as columns."""
+    a = _as_complex(a)
+    if a.ndim != 2:
+        raise ValueError("basis must be a 2d array")
+    return a
 
 
 def opnorm(a) -> float:
@@ -171,45 +178,6 @@ def hermitian_opnorm(h, j: CanonicalSymmetry | None = None) -> float:
     return float(np.max(np.abs(w))) * (1.0 + 4 * h.shape[0] * np.finfo(float).eps) + skew
 
 
-@dataclass
-class KreinSubspace:
-    """Subspace of (C^n, J) given by a basis matrix plus its indefinite Gram.
-
-    ``basis`` has the (full column rank) basis vectors as columns and
-    ``gram`` is basis* J basis for the ambient symmetry the subspace
-    was cut from.
-    """
-
-    basis: np.ndarray
-    gram: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.basis = _as_complex(self.basis)
-        if self.basis.ndim != 2:
-            raise ValueError("basis must be a 2d array")
-        if self.gram is not None:
-            self.gram = _as_complex(self.gram)
-
-    @classmethod
-    def from_basis(cls, basis, j: CanonicalSymmetry) -> "KreinSubspace":
-        basis = _as_complex(basis)
-        return cls(basis=basis, gram=(basis.conj().T * j.signs) @ basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def is_regular(self, tol: float = RANK_RTOL) -> bool:
-        if self.dim == 0:
-            return True
-        w = np.linalg.eigvalsh(self.gram)
-        return bool(np.min(np.abs(w)) > tol * max(1.0, float(np.max(np.abs(w)))))
-
-
 def j_unitarity_defect(g, j_in: CanonicalSymmetry, j_out: CanonicalSymmetry) -> tuple[float, float]:
     """Operator-norm defects (d1, d2) of G*J_out G = J_in and G J_in G* = J_out."""
     g = _as_complex(g)
@@ -223,7 +191,7 @@ def j_unitarity_defect(g, j_in: CanonicalSymmetry, j_out: CanonicalSymmetry) -> 
 
 
 def regularize_subspace(
-    subspace: KreinSubspace, j: CanonicalSymmetry, tol: float = RANK_RTOL
+    basis, j: CanonicalSymmetry, tol: float = RANK_RTOL
 ) -> tuple[np.ndarray, CanonicalSymmetry]:
     """Rescale a basis of a regular subspace so its Gram becomes diag(+-1).
 
@@ -232,7 +200,7 @@ def regularize_subspace(
     Eigenvectors are scaled by |eig|^(-1/2), ordered positive first, so
     the returned basis B satisfies B* J B = J0 with J0 = diag(+1..,-1..).
     """
-    basis = subspace.basis
+    basis = _as_basis(basis)
     if basis.shape[1] == 0:
         return basis.copy(), CanonicalSymmetry.identity(0)
     gram = (basis.conj().T * j.signs) @ basis
@@ -281,23 +249,17 @@ def _neutral_duals(reg_basis, neutral, j: CanonicalSymmetry):
 
 
 def extend_j_isometry(
-    dom: KreinSubspace,
-    j_dom: CanonicalSymmetry,
-    ran: KreinSubspace,
-    j_ran: CanonicalSymmetry,
-    u: np.ndarray,
-    tol: float = 1e-8,
+    dom, j_dom: CanonicalSymmetry, u, j_ran: CanonicalSymmetry, tol: float = 1e-8
 ) -> np.ndarray:
-    """Extend a J-isometry U : dom -> ran to a J-unitary on the full spaces.
+    """Extend a J-isometry U : span(dom) -> span(u) to a J-unitary on the full spaces.
 
     Parameters
     ----------
-    dom, ran : KreinSubspace
-        Regular subspaces of the ambient Krein spaces carrying ``j_dom``
-        and ``j_ran``.  Must have equal dimension.
+    dom : ndarray
+        Basis matrix (columns) of a subspace of the ``j_dom`` space.
     u : ndarray
-        Images of the columns of ``dom.basis`` expressed in ambient
-        coordinates of the range space; column i is U(dom.basis[:, i]).
+        Images of the columns of ``dom`` in ambient coordinates of the
+        ``j_ran`` space; column i is U(dom[:, i]).
     tol : float
         Acceptance threshold on the isometry defect of ``u``.
 
@@ -309,7 +271,7 @@ def extend_j_isometry(
         finite dimensions a successful extension needs no auxiliary space.
 
     Degenerate subspaces are handled: a neutral direction of ``dom``
-    maps to a neutral direction of ``ran`` (their Grams agree), and both
+    maps to a neutral direction of span(u) (their Grams agree), and both
     are completed to hyperbolic pairs with dual partners before the
     companion coupling, so the extension exists whenever the ambient
     signatures allow one.
@@ -323,45 +285,39 @@ def extend_j_isometry(
     DegenerateSubspaceError
         If a companion subspace is numerically degenerate.
     """
-    u = _as_complex(u)
-    if dom.dim != ran.dim:
-        raise ValueError(f"dom and ran dimensions differ: {dom.dim} vs {ran.dim}")
-    if u.shape != (ran.ambient_dim, dom.dim):
+    dom = _as_basis(dom)
+    u = _as_basis(u)
+    if u.shape[1] != dom.shape[1]:
         raise ValueError("u must hold ambient-range images of the dom basis columns")
 
-    iso_defect = hermitian_opnorm((u.conj().T * j_ran.signs) @ u - dom.gram)
+    gram = (dom.conj().T * j_dom.signs) @ dom
+    iso_defect = hermitian_opnorm((u.conj().T * j_ran.signs) @ u - gram)
     if iso_defect > tol:
         raise ValueError(f"u is not J-isometric on dom (defect {iso_defect:.3e})")
 
-    if dom.dim:
-        w, v = np.linalg.eigh(dom.gram)
+    if dom.shape[1]:
+        w, v = np.linalg.eigh(gram)
         scale = max(1.0, float(np.max(np.abs(w))))
-        neutral_mask = np.abs(w) <= NEUTRAL_RTOL * scale
-        if np.any(neutral_mask):
-            reg_d = dom.basis @ v[:, ~neutral_mask]
-            neut_d = dom.basis @ v[:, neutral_mask]
-            reg_r = u @ v[:, ~neutral_mask]
-            neut_r = u @ v[:, neutral_mask]
-            duals_d = _neutral_duals(reg_d, neut_d, j_dom)
-            duals_r = _neutral_duals(reg_r, neut_r, j_ran)
-            dom = KreinSubspace.from_basis(np.hstack([dom.basis, duals_d]), j_dom)
+        neutral = np.abs(w) <= NEUTRAL_RTOL * scale
+        if np.any(neutral):
+            reg, neut = v[:, ~neutral], v[:, neutral]
+            duals_d = _neutral_duals(dom @ reg, dom @ neut, j_dom)
+            duals_r = _neutral_duals(u @ reg, u @ neut, j_ran)
+            dom = np.hstack([dom, duals_d])
             u = np.hstack([u, duals_r])
-            ran = KreinSubspace.from_basis(u, j_ran)
 
-    if dom.ambient_dim != ran.ambient_dim:
-        d = abs(dom.ambient_dim - ran.ambient_dim)
-        side = "domain" if dom.ambient_dim < ran.ambient_dim else "range"
+    n_dom, n_ran = dom.shape[0], u.shape[0]
+    if n_dom != n_ran:
+        side = "domain" if n_dom < n_ran else "range"
         raise SignatureMismatchError(
-            f"ambient dimensions differ ({dom.ambient_dim} vs {ran.ambient_dim}); "
-            f"requires ambient padding of the {side} side by {d}",
-            pad_dom=(max(ran.ambient_dim - dom.ambient_dim, 0), 0),
-            pad_ran=(max(dom.ambient_dim - ran.ambient_dim, 0), 0),
+            f"ambient dimensions differ ({n_dom} vs {n_ran}); "
+            f"requires ambient padding of the {side} side by {abs(n_dom - n_ran)}",
+            pad_dom=(max(n_ran - n_dom, 0), 0),
+            pad_ran=(max(n_dom - n_ran, 0), 0),
         )
 
-    comp_dom = j_companion_basis(dom.basis, j_dom)
-    comp_ran = j_companion_basis(ran.basis, j_ran)
-    wd, j0d = regularize_subspace(KreinSubspace.from_basis(comp_dom, j_dom), j_dom)
-    wr, j0r = regularize_subspace(KreinSubspace.from_basis(comp_ran, j_ran), j_ran)
+    wd, j0d = regularize_subspace(j_companion_basis(dom, j_dom), j_dom)
+    wr, j0r = regularize_subspace(j_companion_basis(u, j_ran), j_ran)
     sig_d = j0d.signature
     sig_r = j0r.signature
     if sig_d != sig_r:
@@ -377,10 +333,9 @@ def extend_j_isometry(
     # the given spaces: send companion basis to companion basis.  Both
     # regularized Grams are diag(+1..,-1..) in the same order, so the
     # identity coupling is J-unitary between them.
-    s_dom = np.hstack([dom.basis, wd])
+    s_dom = np.hstack([dom, wd])
     s_ran = np.hstack([u, wr])
-    u_full = s_ran @ np.linalg.solve(s_dom, np.eye(s_dom.shape[0], dtype=np.complex128))
-    return u_full
+    return s_ran @ np.linalg.solve(s_dom, np.eye(s_dom.shape[0], dtype=np.complex128))
 
 
 def hermitian_sqrt(h, neg_tol: float = 1e-10) -> np.ndarray:

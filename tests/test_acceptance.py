@@ -16,7 +16,6 @@ from kreinsys.agler import (
 from kreinsys.dilation import build_dilation
 from kreinsys.krein import (
     CanonicalSymmetry,
-    KreinSubspace,
     SignatureMismatchError,
     extend_j_isometry,
     j_companion_basis,
@@ -251,10 +250,8 @@ def test_criterion_8_krein_extension():
         j = CanonicalSymmetry.from_signs(signs)
         w = random_j_unitary(j, j, rng)
         r = int(rng.integers(1, nn))
-        dom = KreinSubspace.from_basis(np.eye(nn, dtype=complex)[:, :r], j)
         u = w[:, :r]
-        ran = KreinSubspace.from_basis(u, j)
-        u_full = extend_j_isometry(dom, j, ran, j, u)
+        u_full = extend_j_isometry(np.eye(nn, dtype=complex)[:, :r], j, u, j)
         worst_unitarity = max(worst_unitarity, max(j_unitarity_defect(u_full, j, j)))
         worst_restrict = max(worst_restrict, float(np.max(np.abs(u_full[:, :r] - u))))
 
@@ -266,14 +263,12 @@ def test_criterion_8_krein_extension():
             sb[1] = -sb[1]
         ja, jb = CanonicalSymmetry.from_signs(sa), CanonicalSymmetry.from_signs(sb)
         e1 = np.eye(nn, dtype=complex)[:, :1]
-        dom = KreinSubspace.from_basis(e1, ja)
-        ran = KreinSubspace.from_basis(e1, jb)
-        wa = j_companion_basis(dom.basis, ja)
-        wb = j_companion_basis(ran.basis, jb)
+        wa = j_companion_basis(e1, ja)
+        wb = j_companion_basis(e1, jb)
         pa, qa, _ = signature(wa.conj().T @ ja.matrix @ wa)
         pb, qb, _ = signature(wb.conj().T @ jb.matrix @ wb)
         with pytest.raises(SignatureMismatchError) as info:
-            extend_j_isometry(dom, ja, ran, jb, e1.copy())
+            extend_j_isometry(e1, ja, e1.copy(), jb)
         mismatches += 1
         assert info.value.pad_dom == (max(0, pb - pa), max(0, qb - qa))
         assert info.value.pad_ran == (max(0, pa - pb), max(0, qa - qb))

@@ -312,6 +312,22 @@ def poisoned(data, path, value):
     return data
 
 
+def readme_bundle(tmp_path) -> str:
+    """The README's N=2 system bundle (generator seed 0)."""
+    path = str(tmp_path / "n2.json")
+    gen = ["gen", "--n", "2", "--state-dim", "3", "--input-dim", "2", "--signs", "++-"]
+    assert main(gen + ["--seed", "0", "--out", path]) == 0
+    return path
+
+
+def hyperbolic_series_bundle(tmp_path) -> str:
+    """Degree-8 truncation of the hyperbolic benchmark's transfer function."""
+    coeffs = {(m,): [[1.25 if m == 1 else 0.5625 * 1.25 ** (m - 2)]] for m in range(1, 9)}
+    path = tmp_path / "hyp8.json"
+    bundles.save_bundle(bundles.series_to_bundle(TruncatedOperatorSeries(1, 8, coeffs)), path)
+    return str(path)
+
+
 @pytest.fixture()
 def hyp_bundle(tmp_path):
     system, j = hyperbolic_system()
@@ -448,9 +464,7 @@ class TestCliCommands:
     def test_dilate_readme_bundle_seed_807(self, tmp_path, capsys):
         # the explicit rows gave a dilation that is not power-stable on the
         # sampling polydisk, and lin-tf failed at 1.9e-4 for this seed
-        system = str(tmp_path / "n2.json")
-        gen = ["gen", "--n", "2", "--state-dim", "3", "--input-dim", "2", "--signs", "++-"]
-        assert main(gen + ["--seed", "0", "--out", system]) == 0
+        system = readme_bundle(tmp_path)
         capsys.readouterr()
         args = ["dilate", system, "--degree", "20", "--tol", "1e-4", "--samples", "25"]
         code = main(args + ["--seed", "807", "--json"])
@@ -518,6 +532,24 @@ class TestCliCommands:
         capsys.readouterr()
         assert main(args + ["--stage-tol", "kernel=1e-4"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["dilate", "realize"])
+    def test_stage_tol_loosens_a_staged_build(self, command, tmp_path, capsys):
+        # the build must not abort at --tol on a stage whose own gate is looser
+        if command == "dilate":
+            args = ["dilate", readme_bundle(tmp_path), "--degree", "12", "--samples", "25"]
+            args += ["--tol", "1e-6", "--stage-tol", "lin-tf=1e-3"]
+            loose = ["--stage-tol", "transfer-coincidence=1e-3"]
+        else:
+            args = ["realize", hyperbolic_series_bundle(tmp_path), "--tol", "1e-8"]
+            args += ["--stage-tol", "lin-tf=1e-4", "--stage-tol", "sample=1e-4"]
+            loose = ["--stage-tol", "transfer-coincidence=1e-4"]
+        assert main(args + loose) == 0
+        capsys.readouterr()
+        if command == "dilate":
+            assert main(args + ["--stage-tol", "transfer-coincidence=1e-5"]) == 1
+            err = capsys.readouterr().err
+            assert "FAIL stage transfer-coincidence: residual" in err
 
 
 class TestCliContract:

@@ -15,7 +15,7 @@ from kreinsys.dilation import (
     verify_dilation,
     verify_linear_tf,
 )
-from kreinsys.krein import CanonicalSymmetry, KreinSubspace
+from kreinsys.krein import CanonicalSymmetry, regularize_subspace
 from kreinsys.systems import (
     MultiparametricSystem,
     jconservativity_defect,
@@ -132,10 +132,10 @@ class TestZeroSystem:
 
 
 def reduce_spans(system, epsilon, degree, tol=1e-8):
-    """Column-matching spans (dom, images, ran, defect) of the minimal factor."""
+    """Column-matching spans (basis, images, defect) of the minimal factor,
+    with the two symmetries (j_m, j_ran) they live in."""
     asm = _Assembly(minimal_factor(make_dec(system, epsilon, degree))[0], system_operators(system))
-    dom, images, defect = asm.reduce_spans(tol)
-    return dom, images, KreinSubspace.from_basis(images, asm.j_ran), defect
+    return (*asm.reduce_spans(tol), asm.j_m, asm.j_ran)
 
 
 class TestBuildU:
@@ -157,15 +157,17 @@ class TestBuildU:
 
     def test_span_dimensions_agree(self):
         alpha, _ = hyperbolic_system()
-        dom, u, ran, defect = reduce_spans(alpha, 2.0, 10)
-        assert dom.dim == ran.dim == u.shape[1]
+        dom, u, defect, j_m, j_ran = reduce_spans(alpha, 2.0, 10)
+        assert dom.shape[1] == u.shape[1]
         assert defect <= 1e-12
-        assert dom.is_regular() and ran.is_regular()
+        # both spans are regular: regularization finds no neutral direction
+        regularize_subspace(dom, j_m)
+        regularize_subspace(u, j_ran)
 
     def test_matrix_unit_exact_spans(self):
         alpha, _ = matrix_unit_system()
-        dom, u, ran, defect = reduce_spans(alpha, 1.0, 4)
-        assert dom.dim == 2
+        dom, u, defect, _, _ = reduce_spans(alpha, 1.0, 4)
+        assert dom.shape[1] == 2
         assert defect <= 1e-14
 
 
@@ -264,12 +266,20 @@ class TestErrorPaths:
         assert "lin-tf" not in message and "transfer-coincidence" not in message
 
 
-def test_dilation_demo_script_runs(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "dilation_demo.py"
-    spec = importlib.util.spec_from_file_location("dilation_demo", path)
+@pytest.mark.parametrize(
+    "script, expected",
+    [
+        ("dilation_demo", ["hyperbolic benchmark", "coefficient conservativity of the dilation"]),
+        ("realization_demo", ["hyperbolic transfer truncated at degree 8", "realized state dim"]),
+    ],
+    ids=["dilation_demo", "realization_demo"],
+)
+def test_dilation_demo_script_runs(script, expected, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{script}.py"
+    spec = importlib.util.spec_from_file_location(script, path)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
     demo.main()
     out = capsys.readouterr().out
-    assert "hyperbolic benchmark" in out
-    assert "coefficient conservativity of the dilation" in out
+    for phrase in expected:
+        assert phrase in out

@@ -6,13 +6,13 @@ from scipy.linalg import block_diag
 from kreinsys.krein import (
     CanonicalSymmetry,
     DegenerateSubspaceError,
-    KreinSubspace,
     SignatureMismatchError,
     extend_j_isometry,
     hermitian_opnorm,
     hermitian_sqrt,
     j_companion_basis,
     j_unitarity_defect,
+    opnorm,
     random_j_unitary,
     regularize_subspace,
     signature,
@@ -76,8 +76,7 @@ def test_signature_examples():
 def test_regularize_subspace_negative_line():
     j = CanonicalSymmetry.from_signs([1, -1])
     basis = np.array([[1.0], [-np.sqrt(2.0)]], dtype=complex)
-    sub = KreinSubspace.from_basis(basis, j)
-    new_basis, j0 = regularize_subspace(sub, j)
+    new_basis, j0 = regularize_subspace(basis, j)
     assert j0.matrix.shape == (1, 1) and j0.matrix[0, 0] == -1
     gram = new_basis.conj().T @ j.matrix @ new_basis
     assert np.allclose(gram, [[-1.0]], atol=1e-12)
@@ -87,13 +86,13 @@ def test_regularize_subspace_degenerate():
     j = CanonicalSymmetry.from_signs([1, -1])
     basis = np.array([[1.0], [1.0]], dtype=complex)  # neutral vector
     with pytest.raises(DegenerateSubspaceError):
-        regularize_subspace(KreinSubspace.from_basis(basis, j), j)
+        regularize_subspace(basis, j)
 
 
 def test_regularize_orders_positive_first():
     j = CanonicalSymmetry.from_signs([1, -1, 1])
     basis = np.eye(3, dtype=complex)[:, [1, 0]]  # negative direction listed first
-    new_basis, j0 = regularize_subspace(KreinSubspace.from_basis(basis, j), j)
+    new_basis, j0 = regularize_subspace(basis, j)
     assert np.allclose(np.diagonal(j0.matrix), [1, -1])
 
 
@@ -109,19 +108,15 @@ def test_extend_identity_case():
     # dom = ran = span(e1) in (C^2, diag(1,-1)), U the identity on it
     j = CanonicalSymmetry.from_signs([1, -1])
     basis = np.eye(2, dtype=complex)[:, :1]
-    dom = KreinSubspace.from_basis(basis, j)
-    ran = KreinSubspace.from_basis(basis, j)
-    u_full = extend_j_isometry(dom, j, ran, j, basis.copy())
+    u_full = extend_j_isometry(basis, j, basis.copy(), j)
     assert np.allclose(u_full, np.eye(2), atol=1e-12)
 
 
 def test_extend_dim_mismatch_reports_pad():
     i2 = CanonicalSymmetry.identity(2)
     i3 = CanonicalSymmetry.identity(3)
-    dom = KreinSubspace.from_basis(np.eye(2, dtype=complex)[:, :1], i2)
-    ran = KreinSubspace.from_basis(np.eye(3, dtype=complex)[:, :1], i3)
     with pytest.raises(SignatureMismatchError) as info:
-        extend_j_isometry(dom, i2, ran, i3, np.eye(3, dtype=complex)[:, :1])
+        extend_j_isometry(np.eye(2, dtype=complex)[:, :1], i2, np.eye(3, dtype=complex)[:, :1], i3)
     assert info.value.pad_dom == (1, 0)
     assert info.value.pad_ran == (0, 0)
 
@@ -129,10 +124,9 @@ def test_extend_dim_mismatch_reports_pad():
 def test_extend_signature_mismatch_reports_pad():
     jm = CanonicalSymmetry.from_signs([1, -1, 1])
     ji = CanonicalSymmetry.identity(3)
-    dom = KreinSubspace.from_basis(np.eye(3, dtype=complex)[:, :1], jm)
-    ran = KreinSubspace.from_basis(np.eye(3, dtype=complex)[:, :1], ji)
+    e1 = np.eye(3, dtype=complex)[:, :1]
     with pytest.raises(SignatureMismatchError) as info:
-        extend_j_isometry(dom, jm, ran, ji, np.eye(3, dtype=complex)[:, :1])
+        extend_j_isometry(e1, jm, e1.copy(), ji)
     # companions have signatures (1,1) vs (2,0)
     assert info.value.pad_dom == (1, 0)
     assert info.value.pad_ran == (0, 1)
@@ -147,13 +141,30 @@ def test_extend_construct_then_restrict(seed):
     w = random_j_unitary(j, j, rng)
     r = int(rng.integers(1, n))
     # columns of a random J-unitary span regular subspaces
-    dom = KreinSubspace.from_basis(np.eye(n, dtype=complex)[:, :r], j)
     u = w[:, :r]
-    ran = KreinSubspace.from_basis(u, j)
-    u_full = extend_j_isometry(dom, j, ran, j, u)
+    u_full = extend_j_isometry(np.eye(n, dtype=complex)[:, :r], j, u, j)
     d1, d2 = j_unitarity_defect(u_full, j, j)
     assert max(d1, d2) < 1e-10
     assert np.max(np.abs(u_full[:, :r] - u)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_extend_through_neutral_direction(seed):
+    # dom = span((e1 + e2)/sqrt 2, e3) has the neutral vector (e1 + e2)/sqrt 2
+    # in diag(1,-1,1,-1), so the extension pairs it with a dual partner
+    j = CanonicalSymmetry.from_signs([1, -1, 1, -1])
+    dom = np.zeros((4, 2), dtype=complex)
+    dom[:2, 0] = 1 / np.sqrt(2)
+    dom[2, 1] = 1
+    u = random_j_unitary(j, j, np.random.default_rng(seed)) @ dom
+    u_full = extend_j_isometry(dom, j, u, j)
+    assert max(j_unitarity_defect(u_full, j, j)) <= 1e-12
+    assert opnorm(u_full @ dom - u) <= 1e-12
+
+    with pytest.raises(ValueError, match="images of the dom basis columns"):
+        extend_j_isometry(dom, j, u[:, :1], j)
+    with pytest.raises(ValueError, match="not J-isometric"):
+        extend_j_isometry(dom, j, 2 * u, j)
 
 
 def test_hermitian_sqrt():
