@@ -156,18 +156,16 @@ class AglerDecomposition:
         return self.stacked_coefficient((0,) * self.n)
 
 
-def epsilon_bounds(g: SystemOperatorTuple, torus_samples=None) -> tuple[float, float]:
+def epsilon_bounds(g: SystemOperatorTuple) -> tuple[float, float]:
     """Bracket the admissible pencil scale.
 
-    lower: max over torus samples of ||zeta G|| — no decomposition with
-    a smaller scale can exist since unimodular scalars are commuting
-    contractions.  upper: N max_k ||G_k||, always sufficient for the
-    explicit construction.
+    lower: max over the Fourier grid of the torus of ||zeta G|| — no
+    decomposition with a smaller scale can exist since unimodular scalars
+    are commuting contractions.  upper: N max_k ||G_k||, always sufficient
+    for the explicit construction.
     """
-    if torus_samples is None:
-        torus_samples = fourier_grid(g.n)
     lower = 0.0
-    for zeta in torus_samples:
+    for zeta in fourier_grid(g.n):
         lower = max(lower, opnorm(g.pencil(zeta)))
     upper = g.n * max(opnorm(gk) for gk in g.operators)
     return (lower, upper)
@@ -191,11 +189,12 @@ def _exact_branch_applies(g: SystemOperatorTuple) -> bool:
 
 def construct_pencil_decomposition(
     g: SystemOperatorTuple,
-    epsilon: float,
+    epsilon: float | None,
     degree: int,
     radius: float = 0.5,
 ) -> AglerDecomposition:
-    """Build the explicit certified decomposition of the pencil zG."""
+    """Build the explicit certified decomposition of the pencil zG at scale
+    ``epsilon``, by default (None) the least it accepts, max(1, N max_k ||G_k||)."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if not 0 < radius < 1:
@@ -205,7 +204,8 @@ def construct_pencil_decomposition(
     p = g.operators[0].shape[0]
     norms = [opnorm(gk) for gk in g.operators]
     feasible = max(1.0, n * max(norms))
-
+    if epsilon is None:
+        epsilon = feasible
     if epsilon < 1.0:
         raise ValueError(f"scale {epsilon} below 1; minimal feasible scale is {feasible}")
 
@@ -393,23 +393,23 @@ def _split_value(dec: AglerDecomposition, values: list):
     return plus, minus
 
 
-def derived_zero_identities(dec: AglerDecomposition, z_samples=None) -> dict:
+def derived_zero_identities(dec: AglerDecomposition) -> dict:
     """Residuals of the zero-point identities of the decomposition.
 
     The constant rows are slot-disjoint from all higher-degree rows,
-    so each of these holds exactly for constructed decompositions:
+    so each of these holds exactly for constructed decompositions
+    (z over 20 seeded points of the certified polydisk):
       f_plus:  F+(0)* F+(z) = eps^2 I         (all z)
       f_minus: F-(0)* F-(z) = (eps^2 - 1) I   (all z)
       polarization: (F(l)-F(0))* J_M (F(z)-F(0))
                     = F(l)* J_M F(z) - F(0)* J_M F(0)
       semiunitary: F(0)* J_M F(0) = I
     """
-    if z_samples is None:
-        rng = np.random.default_rng(0)
-        z_samples = [
-            dec.radius * rng.uniform(-1, 1, dec.n) * np.exp(2j * np.pi * rng.uniform(size=dec.n))
-            for _ in range(20)
-        ]
+    rng = np.random.default_rng(0)
+    z_samples = [
+        dec.radius * rng.uniform(-1, 1, dec.n) * np.exp(2j * np.pi * rng.uniform(size=dec.n))
+        for _ in range(20)
+    ]
     q = dec.domain_dim
     eye = np.eye(q)
     zero = (0,) * dec.n

@@ -59,10 +59,6 @@ def matrix_from_json(rows, shape=None, field: str = "matrix") -> np.ndarray:
     return m
 
 
-def _real_matrix_to_json(m) -> list:
-    return np.asarray(m, dtype=np.float64).tolist()
-
-
 def dumps_canonical(data) -> str:
     """Deterministic JSON text: sorted keys, one-space indentation.
 
@@ -235,16 +231,12 @@ def system_from_bundle(data: dict):
 
 def series_to_bundle(series: TruncatedOperatorSeries, metadata: dict | None = None) -> dict:
     dy, du = series.shape
-    entries = [
-        [list(t), _real_matrix_to_json(m.real), _real_matrix_to_json(m.imag)]
-        for t, m in sorted(series.coefficients.items())
-    ]
     data = {
         "format": SERIES_FORMAT,
         "n": series.n,
         "degree": series.degree,
         "shape": [dy, du],
-        "coefficients": entries,
+        "coefficients": _coefficients_to_json(series.coefficients),
     }
     if metadata:
         data["metadata"] = dict(metadata)
@@ -264,6 +256,14 @@ def series_from_bundle(data: dict) -> TruncatedOperatorSeries:
         raise BundleError(f"invalid series bundle: {exc}") from exc
 
 
+def _coefficients_to_json(coefficients: dict) -> list:
+    """Complex128 series coefficients as [multi-index, real part, imaginary part],
+    sorted by multi-index."""
+    return [
+        [list(t), m.real.tolist(), m.imag.tolist()] for t, m in sorted(coefficients.items())
+    ]
+
+
 def _coefficients_from_json(entries, field: str) -> dict:
     """Series coefficients stored as [multi-index, real part, imaginary part]."""
     return {
@@ -273,21 +273,16 @@ def _coefficients_from_json(entries, field: str) -> dict:
 
 
 def decomposition_to_bundle(dec: AglerDecomposition) -> dict:
-    comps = []
-    for comp in dec.components:
-        entries = [
-            [list(t), _real_matrix_to_json(m.real), _real_matrix_to_json(m.imag)]
-            for t, m in sorted(comp.series.coefficients.items())
-        ]
-        comps.append(
-            {
-                "index": comp.index,
-                "m_plus": comp.m_plus,
-                "m_minus": comp.m_minus,
-                "degree": comp.series.degree,
-                "coefficients": entries,
-            }
-        )
+    comps = [
+        {
+            "index": comp.index,
+            "m_plus": comp.m_plus,
+            "m_minus": comp.m_minus,
+            "degree": comp.series.degree,
+            "coefficients": _coefficients_to_json(comp.series.coefficients),
+        }
+        for comp in dec.components
+    ]
     return {
         "format": DECOMPOSITION_FORMAT,
         "n": dec.n,
@@ -336,9 +331,7 @@ def decomposition_from_bundle(data: dict) -> AglerDecomposition:
 
 
 def dilation_to_bundle(
-    result: DilationResult,
-    original: MultiparametricSystem | None = None,
-    metadata: dict | None = None,
+    result: DilationResult, original: MultiparametricSystem | None = None
 ) -> dict:
     data = {
         "format": DILATION_FORMAT,
@@ -348,8 +341,6 @@ def dilation_to_bundle(
     if original is not None:
         dx, du, dy = original.dims
         data["original_dims"] = {"state": dx, "input": du, "output": dy}
-    if metadata:
-        data["metadata"] = dict(metadata)
     return data
 
 

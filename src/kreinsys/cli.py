@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bundles
 from .agler import construct_pencil_decomposition, epsilon_bounds, verify_kernel_identity
-from .dilation import _disk_samples, _torus_samples, build_dilation, verify_dilation
+from .dilation import DEFECT_NAMES, _disk_samples, _torus_samples, build_dilation, verify_dilation
 from .krein import CanonicalSymmetry, opnorm
 from .lattice import LatticeSignal, energy_balance_report, simulate
 from .realize import jconservative_realization
@@ -195,13 +195,11 @@ def cmd_decompose(args) -> int:
     say = _printer(args)
     g = system_operators(system)
     lo, hi = epsilon_bounds(g)
-    epsilon = args.epsilon if args.epsilon is not None else max(1.0, hi)
-    degree = args.degree if args.degree is not None else 12
-    dec = construct_pencil_decomposition(g, epsilon, degree, radius=args.radius)
+    dec = construct_pencil_decomposition(g, args.epsilon, args.degree, radius=args.radius)
     lams = _disk_samples(system.n, args.radius, args.samples, args.seed)
     zs = _disk_samples(system.n, args.radius, args.samples, args.seed + 1)
     measured = verify_kernel_identity(g, dec, list(zip(lams, zs)))
-    say(f"feasible scale window [{lo:.6g}, {hi:.6g}], using epsilon = {epsilon:.6g}")
+    say(f"feasible scale window [{lo:.6g}, {hi:.6g}], using epsilon = {dec.epsilon:.6g}")
     say(
         f"degree {dec.degree}, radius {dec.radius}, signature {dec.signature},"
         f" eta = {dec.eta:.3e}, exact = {dec.exact}"
@@ -231,10 +229,7 @@ def cmd_dilate(args) -> int:
     system, _, _ = _load_system(args.bundle)
     say = _printer(args)
     g = system_operators(system)
-    _, hi = epsilon_bounds(g)
-    epsilon = args.epsilon if args.epsilon is not None else max(1.0, hi)
-    degree = args.degree if args.degree is not None else 20
-    dec = construct_pencil_decomposition(g, epsilon, degree, radius=args.radius)
+    dec = construct_pencil_decomposition(g, args.epsilon, args.degree, radius=args.radius)
     result = build_dilation(system, dec, tol=_abort_tol(args), samples=args.samples, seed=args.seed)
     say(
         f"dilated state dim {result.alpha_tilde.state_dim}"
@@ -355,14 +350,24 @@ def cmd_gen(args) -> int:
     return _finish(args, report, {"r1": r1, "r2": r2, "r3": r3, "r4": r4})
 
 
-def _stage_tol_pair(text: str):
-    name, _, value = text.partition("=")
-    if not name or not value:
-        raise argparse.ArgumentTypeError("expected NAME=VALUE")
-    try:
-        return name.strip(), float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance {value!r}") from exc
+def _stage_tol_pair(stages):
+    """argparse type: a NAME=VALUE gate override for one of ``stages``."""
+
+    def parse(text: str):
+        name, _, value = text.partition("=")
+        name = name.strip()
+        if not name or not value:
+            raise argparse.ArgumentTypeError("expected NAME=VALUE")
+        if name not in stages:
+            raise argparse.ArgumentTypeError(
+                f"unknown stage {name!r}; valid stages: {', '.join(stages)}"
+            )
+        try:
+            return name, float(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad tolerance {value!r}") from exc
+
+    return parse
 
 
 def _int_at_least(low: int):
@@ -398,27 +403,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples: int):
+    def common(p, stages=(), samples=None):
+        """--tol and --json; --stage-tol and --seed where ``stages`` names the judged
+        residuals (each such command draws from a seed); --samples where it samples."""
         p.add_argument("--tol", type=float, default=1e-8, help="residual gate (default 1e-8)")
-        p.add_argument(
-            "--stage-tol",
-            action="append",
-            type=_stage_tol_pair,
-            metavar="NAME=VAL",
-            help="override the gate for one named residual (repeatable)",
-        )
         p.add_argument("--json", action="store_true", help="emit one JSON report on stdout")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-        p.add_argument(
-            "--samples",
-            type=_int_at_least(1),
-            default=samples,
-            help=f"sample count (default {samples})",
-        )
+        if stages:
+            p.add_argument(
+                "--stage-tol",
+                action="append",
+                type=_stage_tol_pair(stages),
+                metavar="NAME=VAL",
+                help=f"override the gate for one of {', '.join(stages)} (repeatable)",
+            )
+            p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        if samples:
+            p.add_argument(
+                "--samples",
+                type=_int_at_least(1),
+                default=samples,
+                help=f"sample count (default {samples})",
+            )
 
     p = sub.add_parser("check", help="conservativity defects and torus unitarity")
     p.add_argument("bundle", help="system bundle (JSON)")
-    common(p, samples=50)
+    common(p, ("r1", "r2", "r3", "r4", "torus"), samples=50)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="lattice run with energy balance report")
@@ -432,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="impulse",
         help="input signal (default impulse at the origin)",
     )
-    common(p, samples=50)
+    common(p, ("balance",))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("transfer", help="evaluate the transfer function or its Taylor series")
@@ -443,31 +452,33 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(1),
         help="also list Taylor coefficients through this degree",
     )
-    common(p, samples=50)
+    common(p)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("decompose", help="certified kernel decomposition of the pencil")
     p.add_argument("bundle", help="system bundle (JSON)")
-    p.add_argument("--epsilon", type=float, help="scale (default: feasible upper bound)")
-    p.add_argument("--degree", type=_int_at_least(1), help="truncation degree (default 12)")
+    p.add_argument("--epsilon", type=float, help="scale (default max(1, N max ||G_k||))")
+    p.add_argument(
+        "--degree", type=_int_at_least(1), default=12, help="truncation degree (default 12)"
+    )
     p.add_argument(
         "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
     )
     p.add_argument("--out", help="write the decomposition bundle here")
-    common(p, samples=200)
+    common(p, ("kernel",), samples=200)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("dilate", help="conservative dilation pipeline")
     p.add_argument("bundle", help="system bundle (JSON)")
-    p.add_argument("--epsilon", type=float, help="scale (default: feasible upper bound)")
+    p.add_argument("--epsilon", type=float, help="scale (default max(1, N max ||G_k||))")
     p.add_argument(
-        "--degree", type=_int_at_least(1), help="decomposition degree (default 20)"
+        "--degree", type=_int_at_least(1), default=20, help="decomposition degree (default 20)"
     )
     p.add_argument(
         "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
     )
     p.add_argument("--out", help="write the dilation bundle here")
-    common(p, samples=100)
+    common(p, DEFECT_NAMES, samples=100)
     p.set_defaults(func=cmd_dilate)
 
     p = sub.add_parser("realize", help="conservative realization of a series")
@@ -477,12 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(1),
         help="input truncation degree (default: series degree)",
     )
-    p.add_argument("--epsilon", type=float, help="scale (default: feasible upper bound)")
+    p.add_argument("--epsilon", type=float, help="scale (default max(1, N max ||G_k||))")
     p.add_argument(
         "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
     )
     p.add_argument("--out", help="write the realized system bundle here")
-    common(p, samples=100)
+    common(p, ("coefficient", "sample", *DEFECT_NAMES), samples=100)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify-dilation", help="re-check a stored dilation against its system")
@@ -491,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--radius", type=_unit_radius, default=0.5, help="sampling radius (default 0.5)"
     )
-    common(p, samples=100)
+    common(p, ("compression", "transfer", "conservativity"), samples=100)
     p.set_defaults(func=cmd_verify_dilation)
 
     p = sub.add_parser("gen", help="generate a random conservative system bundle")
@@ -506,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--signs", help="state symmetry as '+'/'-' characters, e.g. '+-'")
     p.add_argument("--out", required=True, help="write the system bundle here")
-    common(p, samples=50)
+    common(p, ("r1", "r2", "r3", "r4"))
     p.set_defaults(func=cmd_gen)
 
     return parser
@@ -518,7 +529,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    args.stage_tol = dict(args.stage_tol or [])
+    args.stage_tol = dict(getattr(args, "stage_tol", None) or [])
     try:
         return args.func(args)
     except bundles.BundleError as exc:

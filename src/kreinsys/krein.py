@@ -77,9 +77,9 @@ class SignatureMismatchError(ValueError):
         self.pad_ran = tuple(pad_ran)
 
 
-def signature(h, tol: float | None = None) -> tuple[int, int, int]:
+def signature(h) -> tuple[int, int, int]:
     """Counts (p, q, z) of eigenvalues of a hermitian matrix above tol,
-    below -tol, and within [-tol, tol]."""
+    below -tol, and within [-tol, tol], tol = RANK_RTOL max(1, max|eig|)."""
     h = _as_complex(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError("signature expects a square matrix")
@@ -88,8 +88,7 @@ def signature(h, tol: float | None = None) -> tuple[int, int, int]:
     if opnorm(h - h.conj().T) > 1e-10 * max(1.0, opnorm(h)):
         raise ValueError("matrix is not hermitian")
     w = np.linalg.eigvalsh(h)
-    if tol is None:
-        tol = RANK_RTOL * max(1.0, float(np.max(np.abs(w))))
+    tol = RANK_RTOL * max(1.0, float(np.max(np.abs(w))))
     p = int(np.sum(w > tol))
     q = int(np.sum(w < -tol))
     return (p, q, h.shape[0] - p - q)
@@ -190,13 +189,11 @@ def j_unitarity_defect(g, j_in: CanonicalSymmetry, j_out: CanonicalSymmetry) -> 
     return (d1, d2)
 
 
-def regularize_subspace(
-    basis, j: CanonicalSymmetry, tol: float = RANK_RTOL
-) -> tuple[np.ndarray, CanonicalSymmetry]:
+def regularize_subspace(basis, j: CanonicalSymmetry) -> tuple[np.ndarray, CanonicalSymmetry]:
     """Rescale a basis of a regular subspace so its Gram becomes diag(+-1).
 
     The Gram basis* J basis is diagonalized; eigenvalues within
-    ``tol`` (relative) of zero flag a degenerate subspace and raise.
+    RANK_RTOL (relative) of zero flag a degenerate subspace and raise.
     Eigenvectors are scaled by |eig|^(-1/2), ordered positive first, so
     the returned basis B satisfies B* J B = J0 with J0 = diag(+1..,-1..).
     """
@@ -206,9 +203,9 @@ def regularize_subspace(
     gram = (basis.conj().T * j.signs) @ basis
     w, v = np.linalg.eigh(gram)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if np.min(np.abs(w)) <= tol * scale:
+    if np.min(np.abs(w)) <= RANK_RTOL * scale:
         raise DegenerateSubspaceError(
-            f"subspace Gram has a near-neutral direction (|eig| <= {tol * scale:.3e})"
+            f"subspace Gram has a near-neutral direction (|eig| <= {RANK_RTOL * scale:.3e})"
         )
     order = np.argsort(-w)  # positive eigenvalues first, deterministic
     w = w[order]
@@ -218,12 +215,12 @@ def regularize_subspace(
     return new_basis, j0
 
 
-def j_companion_basis(basis, j: CanonicalSymmetry, rtol: float = RANK_RTOL) -> np.ndarray:
+def j_companion_basis(basis, j: CanonicalSymmetry) -> np.ndarray:
     """Orthonormal basis of the J-orthogonal companion {h : basis* J h = 0}."""
     basis = _as_complex(basis)
     if basis.shape[1] == 0:
         return np.eye(basis.shape[0], dtype=np.complex128)
-    return null_space(basis.conj().T * j.signs, rcond=rtol).astype(np.complex128)
+    return null_space(basis.conj().T * j.signs, rcond=RANK_RTOL).astype(np.complex128)
 
 
 def _padded_signatures(sig_dom, sig_ran):
@@ -338,32 +335,29 @@ def extend_j_isometry(
     return s_ran @ np.linalg.solve(s_dom, np.eye(s_dom.shape[0], dtype=np.complex128))
 
 
-def hermitian_sqrt(h, neg_tol: float = 1e-10) -> np.ndarray:
+def hermitian_sqrt(h) -> np.ndarray:
     """Positive-semidefinite square root via eigendecomposition.
 
-    Eigenvalues in [-neg_tol, 0) are clamped to zero; anything below
-    -neg_tol (relative to the largest eigenvalue) raises.
+    Eigenvalues in [-1e-10, 0) are clamped to zero; anything below
+    -1e-10 (relative to the largest eigenvalue) raises.
     """
     h = _as_complex(h)
     if h.size == 0:
         return h.copy()
     w, v = np.linalg.eigh(h)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if np.min(w) < -neg_tol * scale:
+    if np.min(w) < -1e-10 * scale:
         raise ValueError(f"matrix is not positive semidefinite (min eig {np.min(w):.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
 def random_j_unitary(
-    j_in: CanonicalSymmetry,
-    j_out: CanonicalSymmetry,
-    rng: np.random.Generator,
-    n_hyperbolic: int = 4,
-    max_rapidity: float = 0.8,
+    j_in: CanonicalSymmetry, j_out: CanonicalSymmetry, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random (j_in, j_out)-unitary built from block unitaries and
-    elementary hyperbolic rotations.  Signatures must agree."""
+    """Random (j_in, j_out)-unitary built from block unitaries and four
+    elementary hyperbolic rotations of rapidity below 0.8.  Signatures must
+    agree."""
     if j_in.signature != j_out.signature:
         raise SignatureMismatchError(
             f"signatures differ: {j_in.signature} vs {j_out.signature}",
@@ -383,10 +377,10 @@ def random_j_unitary(
     core = np.zeros((n, n), dtype=np.complex128)
     core[:p, :p] = haar_unitary(p)
     core[p:, p:] = haar_unitary(q)
-    for _ in range(n_hyperbolic if (p and q) else 0):
+    for _ in range(4 if (p and q) else 0):
         i = rng.integers(0, p)
         j = p + rng.integers(0, q)
-        t = rng.uniform(0.0, max_rapidity)
+        t = rng.uniform(0.0, 0.8)
         phi = rng.uniform(0.0, 2 * np.pi)
         h = np.eye(n, dtype=np.complex128)
         h[i, i] = np.cosh(t)

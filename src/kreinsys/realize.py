@@ -15,7 +15,7 @@ from math import factorial
 
 import numpy as np
 
-from .agler import construct_pencil_decomposition, epsilon_bounds
+from .agler import construct_pencil_decomposition
 from .dilation import DilationResult, build_dilation
 from .krein import CanonicalSymmetry, opnorm
 from .systems import MultiparametricSystem, pad_io, system_operators
@@ -129,34 +129,25 @@ def jconservative_realization(
     theta: TruncatedOperatorSeries,
     d: int | None = None,
     tol: float = 1e-6,
-    dec_degree: int | None = None,
     radius: float = 0.5,
     epsilon: float | None = None,
     samples: int = 100,
     seed: int = 0,
-    allow_large_degree: bool = False,
 ) -> RealizationResult:
     """Realize a series as the corner transfer of a conservative system.
 
-    Composes the shift-register realization, channel padding, a feasible
-    scale from epsilon_bounds, the certified decomposition at
-    ``dec_degree`` (default max(20, d + 4); the realized transfer tail
-    decays like radius^(dec_degree + 1)), and the dilation build.  The
+    Composes the shift-register realization, channel padding, the certified
+    decomposition at degree D = max(20, d + 4) (the realized transfer tail
+    decays like radius^(D + 1)), and the dilation build.  The
     result's Taylor coefficients reproduce the input through degree ``d``
     exactly up to roundoff, and its values match the truncated series on
     the certified polydisk within the reported sample residual.
     """
     if d is None:
         d = theta.degree
-    alpha = shift_register_realization(theta, d, allow_large_degree=allow_large_degree)
-    padded = pad_io(alpha)
+    padded = pad_io(shift_register_realization(theta, d))
     g = system_operators(padded)
-    if epsilon is None:
-        _, upper = epsilon_bounds(g)
-        epsilon = max(1.0, upper)
-    if dec_degree is None:
-        dec_degree = max(20, d + 4)
-    dec = construct_pencil_decomposition(g, epsilon, dec_degree, radius=radius)
+    dec = construct_pencil_decomposition(g, epsilon, max(20, d + 4), radius=radius)
     dil = build_dilation(padded, dec, tol=tol, samples=samples, seed=seed)
 
     dy, du = theta.shape

@@ -207,12 +207,7 @@ def jconservativity_defect(
     return (r1, r2, r3, r4)
 
 
-def torus_check(
-    system: MultiparametricSystem,
-    j: CanonicalSymmetry,
-    zeta_samples,
-    tol: float = 1e-12,
-) -> float:
+def torus_check(system: MultiparametricSystem, j: CanonicalSymmetry, zeta_samples) -> float:
     """Largest J-unitarity defect of the pencil over the given torus points."""
     from .krein import j_unitarity_defect
 
@@ -221,7 +216,7 @@ def torus_check(
     worst = 0.0
     for zeta in zeta_samples:
         zeta = np.asarray(zeta, dtype=np.complex128).reshape(-1)
-        if np.max(np.abs(np.abs(zeta) - 1.0)) > tol:
+        if np.max(np.abs(np.abs(zeta) - 1.0)) > 1e-12:
             raise ValueError("torus samples must have unit modulus entries")
         d1, d2 = j_unitarity_defect(ops.pencil(zeta), j1, j2)
         worst = max(worst, d1, d2)

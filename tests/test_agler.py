@@ -366,6 +366,19 @@ class TestCertificate:
         assert upper_scale_dec(g, 12).eta == pytest.approx(8.179e-7, rel=1e-3)
         assert upper_scale_dec(g, 20).eta == pytest.approx(1.248e-11, rel=1e-3)
 
+    @pytest.mark.parametrize("ops", [readme_ops, hyperbolic_ops], ids=["readme", "hyperbolic"])
+    @pytest.mark.parametrize("degree", [6, 12])
+    def test_default_scale_is_the_upper_bound(self, ops, degree):
+        g = ops()
+        default = construct_pencil_decomposition(g, None, degree)
+        explicit = upper_scale_dec(g, degree)
+        assert (default.epsilon, default.eta) == (explicit.epsilon, explicit.eta)
+        for got, want in zip(default.components, explicit.components, strict=True):
+            assert (got.m_plus, got.m_minus) == (want.m_plus, want.m_minus)
+            assert got.series.coefficients.keys() == want.series.coefficients.keys()
+            for t, m in got.series.coefficients.items():
+                np.testing.assert_array_equal(m, want.coefficient(t))
+
 
 def stacked_rows(component, keys):
     return np.hstack([component.coefficient(t) for t in keys])

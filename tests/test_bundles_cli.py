@@ -551,6 +551,45 @@ class TestCliCommands:
             err = capsys.readouterr().err
             assert "FAIL stage transfer-coincidence: residual" in err
 
+    @pytest.mark.parametrize(
+        "command, name, valid",
+        [("decompose", "kernal", "kernel"), ("dilate", "lin_tf", "lin-tf")],
+    )
+    def test_unknown_stage_name_exits_two(self, command, name, valid, tmp_path, capsys):
+        # a misspelt stage was ignored, and in dilate it loosened the abort threshold
+        args = [command, readme_bundle(tmp_path), "--degree", "10", "--tol", "1e-12"]
+        capsys.readouterr()
+        assert main(args + ["--stage-tol", f"{name}=1"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown stage {name!r}" in err
+        assert valid in re.search(r"valid stages: (.*)$", err, re.M).group(1).split(", ")
+
+    @pytest.mark.parametrize(
+        "command", ["check", "simulate", "decompose", "dilate", "verify-dilation", "realize", "gen"]
+    )
+    def test_stage_tol_names_are_the_report_residuals(
+        self, command, unit_bundle, tmp_path, capsys
+    ):
+        dil_path = str(tmp_path / "dil.json")
+        dilate = ["dilate", unit_bundle, "--epsilon", "1", "--degree", "4", "--tol", "1e-10"]
+        series_path = tmp_path / "lin.json"
+        coefficients = {(1, 0): [[0.5]], (0, 1): [[0.3]]}
+        series = TruncatedOperatorSeries(n=2, degree=1, coefficients=coefficients)
+        bundles.save_bundle(bundles.series_to_bundle(series), series_path)
+        argv = {
+            "dilate": dilate,
+            "verify-dilation": ["verify-dilation", unit_bundle, dil_path],
+            "realize": ["realize", str(series_path), "--tol", "1e-4"],
+            "gen": ["gen", "--out", str(tmp_path / "gen.json")],
+        }.get(command, [command, unit_bundle])
+        assert main(dilate + ["--out", dil_path]) == 0
+        capsys.readouterr()
+        main(argv + ["--json"])
+        reported = json.loads(capsys.readouterr().out)["residuals"]
+        assert main(argv + ["--stage-tol", "no-such-stage=1"]) == 2
+        listed = re.search(r"valid stages: (.*)$", capsys.readouterr().err, re.M).group(1)
+        assert sorted(listed.split(", ")) == sorted(reported)
+
 
 class TestCliContract:
     def test_usage_errors_exit_two(self, tmp_path):
@@ -567,10 +606,10 @@ class TestCliContract:
         "argv",
         [
             [cmd, "--samples", value]
-            for cmd in ("check", "simulate", "transfer", "decompose", "dilate", "verify-dilation")
+            for cmd in ("check", "decompose", "dilate", "verify-dilation")
             for value in ("0", "-3")
         ]
-        + [["realize", "--samples", "0"], ["gen", "--samples", "0"]]
+        + [["realize", "--samples", "0"]]
         + [[cmd, "--degree", "0"] for cmd in ("decompose", "dilate", "transfer", "realize")]
         + [
             [cmd, "--radius", value]
@@ -589,6 +628,23 @@ class TestCliContract:
         }.get(cmd, [unit_bundle])
         assert main([cmd, *positional, *rest]) == 2
         assert "error: argument" in capsys.readouterr().err
+        assert not (tmp_path / "gen.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [cmd, "--samples", value]
+            for cmd in ("simulate", "transfer", "gen")
+            for value in ("5", "0", "-3")
+        ]
+        + [["transfer", "--seed", "3"], ["transfer", "--stage-tol", "x=1"]],
+    )
+    def test_removed_flags_exit_two(self, argv, unit_bundle, tmp_path, capsys):
+        # simulate, transfer and gen never sample; transfer judges no residual
+        cmd, rest = argv[0], argv[1:]
+        positional = ["--out", str(tmp_path / "gen.json")] if cmd == "gen" else [unit_bundle]
+        assert main([cmd, *positional, *rest]) == 2
+        assert "error: unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "gen.json").exists()
 
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
