@@ -21,12 +21,7 @@ from .dilation import DEFECT_NAMES, _disk_samples, _torus_samples, build_dilatio
 from .krein import CanonicalSymmetry, opnorm
 from .lattice import LatticeSignal, energy_balance_report, simulate
 from .realize import jconservative_realization
-from .systems import (
-    jconservativity_defect,
-    random_jconservative,
-    system_operators,
-    torus_check,
-)
+from .systems import jconservativity_defect, random_jconservative, system_operators, torus_check
 from .transfer import ResolventError, eval_transfer, multi_indices, taylor_coefficients
 
 EXIT_OK = 0

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import CanonicalSymmetry, hermitian_opnorm, opnorm, random_j_unitary, sign_basis
+from .krein import CanonicalSymmetry, hermitian_opnorm, j_unitarity_defect, opnorm
+from .krein import random_j_unitary, sign_basis
 
 __all__ = [
     "MultiparametricSystem",
@@ -29,6 +30,7 @@ __all__ = [
     "system_from_operators",
     "conjugate_system",
     "jconservativity_defect",
+    "conservativity_bound",
     "input_output_symmetries",
     "torus_check",
     "fourier_grid",
@@ -207,10 +209,16 @@ def jconservativity_defect(
     return (r1, r2, r3, r4)
 
 
+def conservativity_bound(system: MultiparametricSystem, j: CanonicalSymmetry) -> float:
+    """Bound on the pencil's J-unitarity defect over the torus T^N: each of the N(N-1)
+    cross terms conj(zeta_k) zeta_l G_k* J2 G_l adds at most r2 to r1 (r4 to r3)."""
+    r1, r2, r3, r4 = jconservativity_defect(system, j)
+    cross = system.n * (system.n - 1)
+    return max(r1 + cross * r2, r3 + cross * r4)
+
+
 def torus_check(system: MultiparametricSystem, j: CanonicalSymmetry, zeta_samples) -> float:
     """Largest J-unitarity defect of the pencil over the given torus points."""
-    from .krein import j_unitarity_defect
-
     ops = system_operators(system)
     j1, j2 = input_output_symmetries(system, j)
     worst = 0.0

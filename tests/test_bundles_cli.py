@@ -472,6 +472,23 @@ class TestCliCommands:
         assert code == 0 and report["pass"]
         assert report["residuals"]["lin-tf"] < 1e-5
 
+    def test_dilate_and_verify_dilation_report_one_conservativity(self, tmp_path, capsys):
+        # both report the closed-form torus bound of the same dilation, which
+        # no sampling seed enters
+        system = readme_bundle(tmp_path)
+        values = []
+        for seed in ("7", "807"):
+            dil = str(tmp_path / f"dil-{seed}.json")
+            args = ["dilate", system, "--degree", "20", "--tol", "1e-4", "--samples", "25"]
+            capsys.readouterr()
+            assert main(args + ["--seed", seed, "--out", dil, "--json"]) == 0
+            built = json.loads(capsys.readouterr().out)["residuals"]["conservativity"]
+            assert main(["verify-dilation", system, dil, "--tol", "1e-4", "--seed", seed, "--json"]) == 0
+            checked = json.loads(capsys.readouterr().out)["residuals"]["conservativity"]
+            assert built == checked
+            values.append(built)
+        assert values[0] == values[1]
+
     def test_dilate_stage_failure_names_stage(self, hyp_bundle, capsys):
         code = main(["dilate", hyp_bundle, "--degree", "12", "--tol", "1e-8"])
         captured = capsys.readouterr()

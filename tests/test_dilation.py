@@ -2,28 +2,37 @@
 
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kreinsys
+from kreinsys import dilation, krein
 from kreinsys.agler import construct_pencil_decomposition, minimal_factor
 from kreinsys.dilation import (
     DEFECT_NAMES,
     _Assembly,
+    _disk_samples,
     build_dilation,
     verify_dilation,
     verify_linear_tf,
 )
-from kreinsys.krein import CanonicalSymmetry, regularize_subspace
+from kreinsys.krein import CanonicalSymmetry, opnorm, regularize_subspace
+from kreinsys.realize import shift_register_realization
 from kreinsys.systems import (
     MultiparametricSystem,
+    SystemOperatorTuple,
+    _mix,
     jconservativity_defect,
+    pad_io,
+    system_from_operators,
     system_operators,
 )
-from kreinsys.transfer import eval_transfer
+from kreinsys.transfer import TruncatedOperatorSeries, eval_transfer
 
-from test_agler import polydisk_pairs
+from test_agler import polydisk_pairs, readme_ops
 from test_systems import hyperbolic_system, matrix_unit_system
 
 
@@ -264,6 +273,79 @@ class TestErrorPaths:
         message = str(info.value)
         assert re.fullmatch(r"stage 'factor' residual \S+ exceeds tol 1\.0e-20", message)
         assert "lin-tf" not in message and "transfer-coincidence" not in message
+
+
+def hyp8_register():
+    """The padded shift register that `realize` dilates for the degree-8 hyperbolic series."""
+    coeffs = {(m,): [[1.25 if m == 1 else 0.5625 * 1.25 ** (m - 2)]] for m in range(1, 9)}
+    return pad_io(shift_register_realization(TruncatedOperatorSeries(1, 8, coeffs), 8))
+
+
+def chained_product_norms(check, z, n_max):
+    """||zC (zA)^n zB|| for n = 0..n_max, one opnorm call per product."""
+    za, zb, zc = (_mix(blocks, z) for blocks in (check.a, check.b, check.c))
+    norms, chain = [], zb
+    for _ in range(n_max + 1):
+        norms.append(opnorm(zc @ chain))
+        chain = za @ chain
+    return norms
+
+
+def reference_linear_tf(check, g, z_samples, n_max):
+    """verify_linear_tf as a loop of per-product opnorm calls."""
+    worst = max(opnorm(check.d[k] - g[k]) for k in range(g.n))
+    for z in z_samples:
+        z = np.asarray(z, dtype=np.complex128).reshape(-1)
+        worst = max(worst, opnorm(eval_transfer(check, z) - g.pencil(z)))
+        worst = max([worst, *chained_product_norms(check, z, n_max)])
+    return float(worst)
+
+
+class TestBatchedLinearTf:
+    @pytest.mark.parametrize("system, seed", [("readme", 7), ("readme", 807), ("hyp8", 7)])
+    def test_equals_the_per_product_loop(self, system, seed, monkeypatch):
+        alpha = system_from_operators(readme_ops()) if system == "readme" else hyp8_register()
+        g = system_operators(alpha)
+        res = build_dilation(alpha, construct_pencil_decomposition(g, None, 20), tol=1e-4, seed=seed)
+        check = system_from_operators(res.check_operators)
+        dec = res.decomposition
+        assert not dec.exact
+        horizon = min(check.state_dim + 2, max(dec.degree - 2, 0))
+        z_samples = _disk_samples(g.n, dec.radius, 100, seed)
+        got = verify_linear_tf(check, g, z_samples, n_max=horizon)
+        assert got == res.defects["lin-tf"]
+        assert got == reference_linear_tf(check, g, z_samples, horizon)
+        # with the transfer and corner terms zeroed, only the chained
+        # products remain, and each sample's batch equals its loop bit for bit;
+        # at 4z the products grow with n, so the last ones decide the max
+        corner = SystemOperatorTuple(check.d, g.state_dim, g.input_dim, g.output_dim)
+        monkeypatch.setattr(dilation, "eval_transfer", lambda system, z: corner.pencil(z))
+        for z in [*z_samples, *(4 * z_samples)]:
+            want = max(chained_product_norms(check, z, horizon))
+            assert verify_linear_tf(check, corner, [z], n_max=horizon) == want
+
+
+class TestBuildCost:
+    def test_dense_checks_do_not_grow_with_samples_or_seed(self, monkeypatch):
+        # the conservativity stage is closed-form: no per-point dense
+        # J-unitarity checks of the pencil at sampled torus points
+        counts = Counter()
+        for name in ("hermitian_opnorm", "j_unitarity_defect"):
+            original = getattr(krein, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (kreinsys.agler, dilation, krein, kreinsys.realize, kreinsys.systems):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        alpha = system_from_operators(readme_ops())
+        dec = construct_pencil_decomposition(system_operators(alpha), None, 20)
+        for samples, seed in [(5, 0), (25, 7), (40, 807)]:
+            counts.clear()
+            build_dilation(alpha, dec, tol=1e-4, samples=samples, seed=seed)
+            assert counts == {"hermitian_opnorm": 7, "j_unitarity_defect": 1}
 
 
 @pytest.mark.parametrize(

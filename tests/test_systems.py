@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from kreinsys.krein import CanonicalSymmetry
 from kreinsys.systems import (
     MultiparametricSystem,
+    SystemOperatorTuple,
     _mix,
     conjugate_system,
+    conservativity_bound,
     fourier_grid,
     jconservativity_defect,
     pad_io,
@@ -177,6 +179,64 @@ class TestTorusCharacterization:
             rtol=1e-10,
             atol=1e-10,
         )
+
+
+def perturbed(system, size, rng):
+    """``system`` with each operator moved by ``size`` in spectral norm."""
+    ops = system_operators(system)
+    moved = []
+    for g in ops:
+        e = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        moved.append(g + size * e / np.linalg.norm(e, 2))
+    return system_from_operators(SystemOperatorTuple(tuple(moved), *system.dims))
+
+
+def pencil_roundoff(system):
+    """Allowance for the rounding of zeta G, which a torus sample sees and
+    the coefficient conditions do not."""
+    norm = sum(np.linalg.norm(g, 2) for g in system_operators(system))
+    return 64 * np.finfo(float).eps * (1 + norm) ** 2
+
+
+class TestConservativityBound:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        state_dim=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        log_size=st.floats(-6.0, -2.0),
+    )
+    def test_bound_dominates_torus_samples(self, n, state_dim, seed, log_size):
+        rng = np.random.default_rng(seed)
+        s, j = random_jconservative(n=n, state_dim=state_dim, input_dim=2, seed=seed)
+        s = perturbed(s, 10.0**log_size, rng)
+        r1, _, r3, _ = jconservativity_defect(s, j)
+        bound = conservativity_bound(s, j)
+        points = np.vstack([fourier_grid(n), np.exp(2j * np.pi * rng.uniform(size=(64, n)))])
+        assert torus_check(s, j, points) <= bound + pencil_roundoff(s)
+        if n == 1:
+            assert bound == max(r1, r3)
+
+    @pytest.mark.parametrize("weights", [(0.6, 0.8), (0.6, 0.48, 0.64)], ids=["n2", "n3"])
+    def test_bound_catches_a_cross_violation(self, weights):
+        # G_k = a_k V with V J-unitary and |a| = 1 meets both diagonal
+        # conditions exactly; only the cross products a_k a_l V*JV survive,
+        # and at zeta = (1, .., 1) the pencil is (sum a_k) V, off by
+        # (sum a_k)^2 - 1 = sum_{k != l} a_k a_l
+        n = len(weights)
+        base, j = random_jconservative(n=1, state_dim=2, input_dim=1, seed=3)
+        v = system_operators(base)[0]
+        ops = SystemOperatorTuple(tuple(a * v for a in weights), 2, 1, 1)
+        s = system_from_operators(ops)
+        r1, _, r3, _ = jconservativity_defect(s, j)
+        assert max(r1, r3) <= 1e-12
+        violation = sum(a * b for a in weights for b in weights) - 1.0
+        assert torus_check(s, j, [np.ones(n)]) == pytest.approx(violation, rel=1e-9)
+        bound = conservativity_bound(s, j)
+        assert bound >= torus_check(s, j, fourier_grid(n)) - pencil_roundoff(s)
+        assert bound >= violation - pencil_roundoff(s)
+        if n == 2:  # one cross pair: the bound is attained at zeta = (1, 1)
+            assert bound == pytest.approx(violation, rel=1e-9)
 
 
 class TestRandomConservative:
