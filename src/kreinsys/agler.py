@@ -118,6 +118,11 @@ class AglerDecomposition:
         return self.components[0].series.shape[1]
 
     @property
+    def kernel_bound(self) -> float:
+        """Certificate eta plus a roundoff allowance: the most a kernel residual may be."""
+        return self.eta + 10 * np.finfo(float).eps * max(1.0, self.epsilon**2)
+
+    @property
     def codomain_dim(self) -> int:
         return sum(c.dim for c in self.components)
 
@@ -381,9 +386,8 @@ def verify_kernel_identity(
     worst = 0.0
     for lam, z in _check_pairs(dec, pairs):
         worst = max(worst, kernel_residual(g, dec, lam, z))
-    bound = dec.eta + 10 * np.finfo(float).eps * max(1.0, dec.epsilon**2)
-    if enforce and worst > bound:
-        raise ValueError(f"kernel residual {worst:.3e} exceeds certificate {bound:.3e}")
+    if enforce and worst > dec.kernel_bound:
+        raise ValueError(f"kernel residual {worst:.3e} exceeds certificate {dec.kernel_bound:.3e}")
     return worst
 
 

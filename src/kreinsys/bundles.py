@@ -5,13 +5,15 @@ and decomposition coefficients store the real and imaginary parts as
 separate real matrices.  Floats are written as shortest round-trip
 literals, so parse(serialize(x)) reproduces every finite value bit for
 bit, and serialization is canonical (sorted keys, one-space indentation)
-so identical data yields identical bytes.
+so identical data yields identical bytes.  The ``*_to_bundle`` builders
+hold numpy arrays at the matrix leaves: write them with ``dumps_canonical``
+or ``save_bundle``, not ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+import os
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +41,9 @@ def matrix_to_json(m) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _finite(values, field: str) -> np.ndarray:
-    """Real array of a bundle field, rejecting the NaN/Infinity literals json admits."""
-    arr = np.asarray(values, dtype=np.float64)
+def _finite(values, field: str, dtype=np.float64) -> np.ndarray:
+    """Array of a bundle field, rejecting the NaN/Infinity literals json admits."""
+    arr = np.asarray(values, dtype=dtype)
     if not np.isfinite(arr).all():
         raise BundleError(f"field {field!r} has a non-finite entry")
     return arr
@@ -50,10 +52,13 @@ def _finite(values, field: str) -> np.ndarray:
 def matrix_from_json(rows, shape=None, field: str = "matrix") -> np.ndarray:
     if shape is not None and (shape[0] == 0 or shape[1] == 0):
         return np.zeros(shape, dtype=np.complex128)
-    arr = _finite(rows, field)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise BundleError("matrix entries must be nested as [row][col][re, im]")
-    m = arr[..., 0] + 1j * arr[..., 1]
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "c":  # an in-memory bundle
+        m = _finite(rows, field, np.complex128)
+    else:
+        arr = _finite(rows, field)
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise BundleError("matrix entries must be nested as [row][col][re, im]")
+        m = arr[..., 0] + 1j * arr[..., 1]
     if shape is not None and m.shape != tuple(shape):
         raise BundleError(f"matrix has shape {m.shape}, expected {tuple(shape)}")
     return m
@@ -62,62 +67,56 @@ def matrix_from_json(rows, shape=None, field: str = "matrix") -> np.ndarray:
 def dumps_canonical(data) -> str:
     """Deterministic JSON text: sorted keys, one-space indentation.
 
-    The text is byte for byte ``json.dumps(data, sort_keys=True, indent=1)``.
+    The text is byte for byte ``json.dumps(plain, sort_keys=True, indent=1)``,
+    where ``plain`` is ``data`` with each array nested as ``matrix_to_json``
+    (complex) or ``tolist`` (real) nests it.
     """
     return "".join(_encode(data, 0))
 
 
 def save_bundle(data, path) -> None:
-    """Write ``dumps_canonical(data)`` and a final newline, chunk by chunk."""
-    with open(path, "w") as f:
-        f.writelines(_encode(data, 0))
-        f.write("\n")
+    """Write ``dumps_canonical(data)`` and a final newline, chunk by chunk.
+
+    The text goes to a temporary file beside ``path`` that replaces ``path``
+    only once it is complete, so a value that does not encode leaves no
+    partial file and an existing ``path`` untouched."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.writelines(_encode(data, 0))
+            f.write("\n")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def _encode(o, level: int):
     """Chunks of the canonical text of ``o`` at nesting depth ``level``.
 
     Lists and dicts are laid out as json's indent=1 encoder lays them out,
-    and every scalar and key is encoded by ``json.dumps`` itself.  Two
-    shapes that make up the bulk of a bundle skip the per-item path: a
-    list of finite floats, and the rows of a ``matrix_to_json`` matrix.
+    and every scalar and key is encoded by ``json.dumps`` itself.  Arrays,
+    the bulk of a bundle, are written row by row by ``_encode_matrix``.
     """
-    inner = "\n" + " " * (level + 1)
-    close = "\n" + " " * level
-    if isinstance(o, (list, tuple)):
-        if not o:
-            yield "[]"
-            return
-        if set(map(type, o)) == {float}:
-            text = ("," + inner).join(map(float.__repr__, o))
-            if "n" not in text:  # json writes nan and inf as NaN and Infinity
-                yield "[" + inner + text + close + "]"
-                return
-        width = len(o[0]) if _is_pair_row(o[0]) else 0
-        template = _pair_row_template(width, level + 1) if width else ""
-        yield "[" + inner
-        for i, item in enumerate(o):
-            if i:
-                yield "," + inner
-            text = _fill_pair_row(template, width, item) if width else None
-            if text is None:
-                yield from _encode(item, level + 1)
-            else:
-                yield text
-        yield close + "]"
-    elif isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
-        yield "{" + inner
-        for i, (key, value) in enumerate(sorted(o.items())):
-            if i:
-                yield "," + inner
-            yield _encode_key(key) + ": "
-            yield from _encode(value, level + 1)
-        yield close + "}"
+    if isinstance(o, dict):
+        brackets, items = "{}", [(_encode_key(k) + ": ", v) for k, v in sorted(o.items())]
+    elif isinstance(o, (list, tuple)):
+        brackets, items = "[]", [("", v) for v in o]
+    elif isinstance(o, np.ndarray):
+        yield from _encode_matrix(o, level)
+        return
     else:
         yield json.dumps(o)
+        return
+    if not items:
+        yield brackets
+        return
+    inner = "\n" + " " * (level + 1)
+    for i, (key, value) in enumerate(items):
+        yield ("," if i else brackets[0]) + inner + key
+        yield from _encode(value, level + 1)
+    yield "\n" + " " * level + brackets[1]
 
 
 def _encode_key(key) -> str:
@@ -132,34 +131,23 @@ def _encode_key(key) -> str:
     return json.dumps(key)
 
 
-def _is_pair_row(row) -> bool:
-    """Whether ``row`` is a nonempty list of 2-element lists, as matrix_to_json nests a row."""
-    return (
-        type(row) is list
-        and len(row) > 0
-        and set(map(type, row)) == {list}
-        and set(map(len, row)) == {2}
-    )
-
-
-def _pair_row_template(width: int, level: int) -> str:
-    """%-template of a row of ``width`` [re, im] float pairs at nesting depth ``level``."""
-    pad = "\n" + " " * (level + 1)
-    entry = "\n" + " " * (level + 2)
-    pair = "[" + entry + "%r," + entry + "%r" + pad + "]"
-    return "[" + pad + ("," + pad).join([pair] * width) + "\n" + " " * level + "]"
-
-
-def _fill_pair_row(template: str, width: int, row):
-    """Text of ``row`` through the template, or None unless it is a row of
-    ``width`` pairs of finite floats."""
-    if not _is_pair_row(row) or len(row) != width:
-        return None
-    flat = tuple(chain.from_iterable(row))
-    if set(map(type, flat)) != {float}:
-        return None
-    text = template % flat
-    return None if "n" in text else text
+def _encode_matrix(m: np.ndarray, level: int):
+    """Chunks of the text of a 2-D float64 matrix as rows of floats, or of a
+    2-D complex128 matrix as [row][col][re, im], at nesting depth ``level``:
+    one %-template per matrix, filled row by row from each row's ``tolist()``."""
+    if m.ndim != 2 or m.dtype not in (np.float64, np.complex128):
+        raise TypeError(f"cannot encode an array of shape {m.shape} and dtype {m.dtype}")
+    real = m.dtype == np.float64
+    if not m.size or not np.isfinite(m).all():  # json writes [], NaN and Infinity
+        yield from _encode(m.tolist() if real else matrix_to_json(m), level)
+        return
+    pad = ["\n" + " " * (level + k) for k in range(4)]
+    entry = "%r" if real else "[" + pad[3] + "%r," + pad[3] + "%r" + pad[2] + "]"
+    row = "[" + pad[2] + ("," + pad[2]).join([entry] * m.shape[1]) + pad[1] + "]"
+    values = m if real else np.ascontiguousarray(m).view(np.float64)
+    for i, v in enumerate(values):
+        yield ("," if i else "[") + pad[1] + row % tuple(v.tolist())
+    yield pad[0] + "]"
 
 
 def load_bundle(path, expected_format=None) -> dict:
@@ -186,13 +174,13 @@ def system_to_bundle(
         "format": SYSTEM_FORMAT,
         "n": system.n,
         "dims": {"state": dx, "input": du, "output": dy},
-        "a": [matrix_to_json(m) for m in system.a],
-        "b": [matrix_to_json(m) for m in system.b],
-        "c": [matrix_to_json(m) for m in system.c],
-        "d": [matrix_to_json(m) for m in system.d],
+        "a": [np.asarray(m, dtype=np.complex128) for m in system.a],
+        "b": [np.asarray(m, dtype=np.complex128) for m in system.b],
+        "c": [np.asarray(m, dtype=np.complex128) for m in system.c],
+        "d": [np.asarray(m, dtype=np.complex128) for m in system.d],
     }
     if j is not None:
-        data["j"] = matrix_to_json(j.matrix)
+        data["j"] = np.asarray(j.matrix, dtype=np.complex128)
     if metadata:
         data["metadata"] = dict(metadata)
     return data
@@ -259,9 +247,7 @@ def series_from_bundle(data: dict) -> TruncatedOperatorSeries:
 def _coefficients_to_json(coefficients: dict) -> list:
     """Complex128 series coefficients as [multi-index, real part, imaginary part],
     sorted by multi-index."""
-    return [
-        [list(t), m.real.tolist(), m.imag.tolist()] for t, m in sorted(coefficients.items())
-    ]
+    return [[list(t), m.real, m.imag] for t, m in sorted(coefficients.items())]
 
 
 def _coefficients_from_json(entries, field: str) -> dict:

@@ -2,10 +2,11 @@
 
 Every subcommand prints a human-readable report by default or a single
 canonical JSON document with --json, and exits 0 exactly when all
-checked residuals come in at or below --tol (per-residual overrides via
---stage-tol NAME=VALUE).  Exit code 1 flags residual or pipeline-stage
-failures, 2 flags unusable inputs.  Identical inputs and seeds produce
-byte-identical reports.
+checked residuals come in at or below --tol (by default 1e-8, and for
+decompose its certified bound; per-residual overrides via --stage-tol
+NAME=VALUE).  Exit code 1 flags residual or pipeline-stage failures, 2
+flags unusable inputs.  Identical inputs and seeds produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def _finish(args, report: dict, checked: dict) -> int:
     checked = {k: float(v) for k, v in checked.items()}
     failures = [k for k, v in checked.items() if not (v <= _stage_gate(args, k))]
     report["residuals"] = checked
-    report["tol"] = args.tol
+    if "tol" in args:
+        report["tol"] = args.tol
     report["pass"] = not failures
     if args.json:
         print(bundles.dumps_canonical(report))
@@ -171,7 +173,7 @@ def cmd_transfer(args) -> int:
             for row in value:
                 say("  " + "  ".join(_fmt_complex(v) for v in row))
         report["at"] = [[c.real, c.imag] for c in z]
-        report["value"] = bundles.matrix_to_json(value)
+        report["value"] = value
     if args.degree is not None:
         series = taylor_coefficients(system, args.degree, allow_large_degree=True)
         say(f"taylor coefficient norms through degree {args.degree}:")
@@ -180,7 +182,7 @@ def cmd_transfer(args) -> int:
             norm = opnorm(m)
             if norm > 0:
                 say(f"  {t}: {norm:.6e}")
-            entries.append([list(t), bundles.matrix_to_json(m)])
+            entries.append([list(t), m])
         report["taylor"] = {"degree": args.degree, "coefficients": entries}
     return _finish(args, report, {})
 
@@ -194,6 +196,8 @@ def cmd_decompose(args) -> int:
     lams = _disk_samples(system.n, args.radius, args.samples, args.seed)
     zs = _disk_samples(system.n, args.radius, args.samples, args.seed + 1)
     measured = verify_kernel_identity(g, dec, list(zip(lams, zs)))
+    if args.tol is None:
+        args.tol = dec.kernel_bound
     say(f"feasible scale window [{lo:.6g}, {hi:.6g}], using epsilon = {dec.epsilon:.6g}")
     say(
         f"degree {dec.degree}, radius {dec.radius}, signature {dec.signature},"
@@ -398,10 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, stages=(), samples=None):
-        """--tol and --json; --stage-tol and --seed where ``stages`` names the judged
+    def common(p, stages=(), samples=None, certified=False):
+        """--tol (defaulting, with ``certified``, to the bound the command certifies)
+        and --json; --stage-tol and --seed where ``stages`` names the judged
         residuals (each such command draws from a seed); --samples where it samples."""
-        p.add_argument("--tol", type=float, default=1e-8, help="residual gate (default 1e-8)")
+        gate = "the certified kernel bound" if certified else "1e-8"
+        p.add_argument(
+            "--tol", type=float, default=None if certified else 1e-8,
+            help=f"residual gate (default {gate})",
+        )
         p.add_argument("--json", action="store_true", help="emit one JSON report on stdout")
         if stages:
             p.add_argument(
@@ -447,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(1),
         help="also list Taylor coefficients through this degree",
     )
-    common(p)
+    p.add_argument("--json", action="store_true", help="emit one JSON report on stdout")
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("decompose", help="certified kernel decomposition of the pencil")
@@ -460,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
     )
     p.add_argument("--out", help="write the decomposition bundle here")
-    common(p, ("kernel",), samples=200)
+    common(p, ("kernel",), samples=200, certified=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("dilate", help="conservative dilation pipeline")

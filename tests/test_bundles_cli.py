@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -135,9 +137,24 @@ class TestBundleRoundTrips:
         assert a == b
 
 
+def plain(data):
+    """``data`` with each 2-D float64 or complex128 array nested as ``tolist``
+    or ``matrix_to_json`` nests it; any other array is left for json to reject."""
+    if isinstance(data, np.ndarray) and data.ndim == 2:
+        if data.dtype == np.float64:
+            return data.tolist()
+        if data.dtype == np.complex128:
+            return bundles.matrix_to_json(data)
+    if isinstance(data, dict):
+        return {k: plain(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return type(data)(plain(v) for v in data)
+    return data
+
+
 def reference_text(data) -> str:
-    """The canonical text as json's own indent encoder writes it."""
-    return json.dumps(data, sort_keys=True, indent=1)
+    """The canonical text as json's own indent encoder writes the plain tree."""
+    return json.dumps(plain(data), sort_keys=True, indent=1)
 
 
 PLAIN_FLOATS = st.one_of(
@@ -191,6 +208,40 @@ def bundle_matrices(draw):
     return rows
 
 
+@st.composite
+def array_leaves(draw):
+    """2-D float64 or complex128 arrays of shape 0-4 x 0-4 in C or Fortran order,
+    as transposed, strided or real-part views, sometimes spoiled by NaN or +-inf."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    complex_ = draw(st.booleans())
+    parts = [
+        np.array(draw(st.lists(PLAIN_FLOATS, min_size=rows * cols, max_size=rows * cols)))
+        .reshape(rows, cols)
+        for _ in range(2 if complex_ else 1)
+    ]
+    m = np.empty((rows, cols), dtype=np.complex128 if complex_ else np.float64)
+    m.real = parts[0]
+    if complex_:
+        m.imag = parts[1]
+    if m.size and draw(st.booleans()):
+        view = m.view(np.float64) if complex_ else m
+        view.flat[draw(st.integers(0, view.size - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided", "real part"]))
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "transposed":
+        return np.ascontiguousarray(m.T).T
+    if layout == "strided":
+        big = np.zeros((2 * rows, 3 * cols), dtype=m.dtype)
+        big[::2, ::3] = m
+        return big[::2, ::3]
+    if layout == "real part" and complex_:
+        return m.imag if draw(st.booleans()) else m.real
+    return m
+
+
 JSON_TREES = st.recursive(
     st.one_of(
         st.none(),
@@ -199,6 +250,7 @@ JSON_TREES = st.recursive(
         st.lists(PLAIN_FLOATS),
         st.lists(ENTRIES),
         bundle_matrices(),
+        array_leaves(),
     ),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
@@ -265,8 +317,54 @@ class TestCanonicalWriter:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "557722e67f859c393aeee493b59f933cf86b5061a385961a1d941cd574efc4a6"
 
+    def test_failed_save_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        bundles.save_bundle({"a": 1}, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            bundles.save_bundle({"a": [0.5] * 1000, "b": {1.5j}}, path)
+        with pytest.raises(TypeError):
+            bundles.save_bundle({"z": np.zeros((2, 2), dtype=int)}, tmp_path / "new.json")
+        assert os.listdir(tmp_path) == ["bundle.json"]
+        assert path.read_bytes() == before
+        (tmp_path / "plain.txt").write_text("")
+        assert path.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+    def test_save_peak_memory_below_half_of_the_nesting(self, tmp_path):
+        rng = np.random.default_rng(0)
+
+        def block(rows, cols):
+            return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+        system = MultiparametricSystem(
+            n=2,
+            a=(block(200, 200), block(200, 200)),
+            b=(block(200, 2), block(200, 2)),
+            c=(block(2, 200), block(2, 200)),
+            d=(block(2, 2), block(2, 2)),
+        )
+        data = bundles.system_to_bundle(system, j=CanonicalSymmetry.identity(200))
+        tracemalloc.start()
+        try:
+            bundles.save_bundle(data, tmp_path / "big.json")
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            nested = plain(data)
+            nest_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(nested["a"][0]) == 200  # the nesting is alive when its peak is read
+        assert save_peak < nest_peak / 2
+
     def test_unserializable_values_raise_like_json(self):
-        for bad in ({"a": {1.5j}}, {(1, 2): 0.5}, [np.zeros(2)]):
+        odd_arrays = [
+            np.zeros(2),
+            np.zeros((1, 1, 2)),
+            np.zeros((2, 2), dtype=int),
+            np.zeros((2, 2), dtype=np.float32),
+            np.array([[None]]),
+        ]
+        for bad in ({"a": {1.5j}}, {(1, 2): 0.5}, *([m] for m in odd_arrays)):
             with pytest.raises(TypeError):
                 reference_text(bad)
             with pytest.raises(TypeError):
@@ -304,7 +402,7 @@ class TestBundleErrors:
 
 def poisoned(data, path, value):
     """Copy of a bundle dict with the entry at ``path`` replaced by ``value``."""
-    data = json.loads(json.dumps(data))
+    data = json.loads(bundles.dumps_canonical(data))
     target = data
     for key in path[:-1]:
         target = target[key]
@@ -387,6 +485,7 @@ class TestCliCommands:
         code = main(["transfer", unit_bundle, "--degree", "3", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
+        assert report["residuals"] == {} and "tol" not in report
         coeffs = {tuple(t): np.asarray(m) for t, m in report["taylor"]["coefficients"]}
         value = coeffs[(0, 1)][..., 0] + 1j * coeffs[(0, 1)][..., 1]
         assert np.allclose(value, [[1.0]])
@@ -430,6 +529,17 @@ class TestCliCommands:
         )
         assert dec.degree == 10 and abs(dec.epsilon - 2.0) <= 1e-12
 
+    def test_decompose_default_gate_is_the_certified_bound(self, tmp_path, capsys):
+        system = readme_bundle(tmp_path)
+        capsys.readouterr()
+        for seed in range(27):
+            assert main(["decompose", system, "--seed", str(seed), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["tol"] >= report["eta"] > 0
+            assert report["residuals"]["kernel"] <= report["tol"] < 1.01 * report["eta"]
+        assert main(["decompose", system, "--tol", "1e-8", "--seed", "9"]) == 1
+        assert "FAIL stage kernel" in capsys.readouterr().err
+
     def test_decompose_exact_branch(self, unit_bundle, capsys):
         code = main(
             ["decompose", unit_bundle, "--epsilon", "1", "--degree", "4", "--tol", "1e-12"]
@@ -437,6 +547,8 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "exact = True" in out
+        # eta is 0 here: the default gate keeps the roundoff allowance
+        assert main(["decompose", unit_bundle, "--epsilon", "1", "--degree", "4"]) == 0
 
     def test_dilate_and_verify(self, unit_bundle, tmp_path, capsys):
         dil_path = tmp_path / "dil.json"
@@ -654,7 +766,8 @@ class TestCliContract:
             for cmd in ("simulate", "transfer", "gen")
             for value in ("5", "0", "-3")
         ]
-        + [["transfer", "--seed", "3"], ["transfer", "--stage-tol", "x=1"]],
+        + [["transfer", "--seed", "3"], ["transfer", "--stage-tol", "x=1"]]
+        + [["transfer", "--degree", "2", "--tol", "1e-300"]],
     )
     def test_removed_flags_exit_two(self, argv, unit_bundle, tmp_path, capsys):
         # simulate, transfer and gen never sample; transfer judges no residual
@@ -678,7 +791,7 @@ class TestCliContract:
         data = two_state_bundle()
         data["j"] = bundles.matrix_to_json(np.array(bad_j))
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_text(bundles.dumps_canonical(data))
         for cmd in ("check", "simulate"):
             assert main([cmd, str(path)]) == 2
             assert "field 'j' is not a signature matrix" in capsys.readouterr().err
@@ -693,7 +806,7 @@ class TestCliContract:
         )
         data = poisoned(bundles.series_to_bundle(series), ["coefficients", 1, 2, 0, 0], np.nan)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_text(bundles.dumps_canonical(data))
         assert main(["realize", str(path)]) == 2
         assert "'coefficients' has a non-finite entry" in capsys.readouterr().err
 
@@ -798,7 +911,7 @@ def test_check_contract_on_random_j(j):
     data["j"] = j
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "system.json"
-        path.write_text(json.dumps(data))
+        path.write_text(bundles.dumps_canonical(data))
         runs = []
         for _ in range(2):
             out, err = io.StringIO(), io.StringIO()
