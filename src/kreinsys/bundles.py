@@ -78,18 +78,18 @@ def save_bundle(data, path) -> None:
     """Write ``dumps_canonical(data)`` and a final newline, chunk by chunk.
 
     The text goes to a temporary file beside ``path`` that replaces ``path``
-    only once it is complete, so a value that does not encode leaves no
-    partial file and an existing ``path`` untouched."""
+    only once it is complete, so a failed write leaves no stray file and
+    an existing ``path`` untouched."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as f:
             f.writelines(_encode(data, 0))
             f.write("\n")
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _encode(o, level: int):

@@ -175,7 +175,7 @@ def cmd_transfer(args) -> int:
         report["at"] = [[c.real, c.imag] for c in z]
         report["value"] = value
     if args.degree is not None:
-        series = taylor_coefficients(system, args.degree, allow_large_degree=True)
+        series = taylor_coefficients(system, args.degree)
         say(f"taylor coefficient norms through degree {args.degree}:")
         entries = []
         for t, m in sorted(series.coefficients.items()):
@@ -538,6 +538,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except bundles.BundleError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # load_bundle wraps its own, so this is a failed --out
+        print(f"error: cannot write {getattr(args, 'out', '')}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except (ResolventError, ValueError) as exc:
         print(f"FAIL {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, null_space
 
 __all__ = [
     "CanonicalSymmetry",
@@ -172,8 +171,8 @@ def hermitian_opnorm(h, j: CanonicalSymmetry | None = None) -> float:
         return np.inf
     if j is not None:
         herm.flat[:: j.dim + 1] -= j.signs
-    # the buffer of herm read in Fortran order is conj(S), with the same eigenvalues
-    w = eigvalsh(herm.T, driver="evd", overwrite_a=True, check_finite=False)
+    # herm.T is conj(S), with the same eigenvalues
+    w = np.linalg.eigvalsh(herm.T)
     return float(np.max(np.abs(w))) * (1.0 + 4 * h.shape[0] * np.finfo(float).eps) + skew
 
 
@@ -220,7 +219,8 @@ def j_companion_basis(basis, j: CanonicalSymmetry) -> np.ndarray:
     basis = _as_complex(basis)
     if basis.shape[1] == 0:
         return np.eye(basis.shape[0], dtype=np.complex128)
-    return null_space(basis.conj().T * j.signs, rcond=RANK_RTOL).astype(np.complex128)
+    _, s, vh = np.linalg.svd(basis.conj().T * j.signs, full_matrices=True)
+    return vh[np.sum(s > RANK_RTOL * np.max(s, initial=0.0)) :].conj().T
 
 
 def _padded_signatures(sig_dom, sig_ran):

@@ -152,9 +152,7 @@ def jconservative_realization(
 
     dy, du = theta.shape
     m = max(du, dy)
-    realized = taylor_coefficients(
-        dil.alpha_tilde, d, allow_large_degree=True, dtype=_WIDE
-    ).coefficients
+    realized = taylor_coefficients(dil.alpha_tilde, d, dtype=_WIDE).coefficients
     zero_block = np.zeros((m, m), dtype=np.complex128)
     residuals = {}
     for level in range(1, d + 1):

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; load it with the package
 
 from .krein import CanonicalSymmetry, hermitian_opnorm, j_unitarity_defect, opnorm
 from .krein import random_j_unitary, sign_basis

@@ -14,9 +14,9 @@ on sample points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .krein import opnorm
 from .systems import MultiparametricSystem, _mix
@@ -31,10 +31,8 @@ __all__ = [
     "eval_series",
     "z_transform_check",
     "multi_indices",
-    "MAX_DEFAULT_DEGREE",
 ]
 
-MAX_DEFAULT_DEGREE = 8
 RESOLVENT_COND_LIMIT = 1e12
 
 
@@ -59,38 +57,44 @@ def _check_point(system: MultiparametricSystem, z) -> np.ndarray:
     return z
 
 
-def _lu(system: MultiparametricSystem, z: np.ndarray):
-    """LU factors of I - zA at a checked point, rejecting ill-conditioned points.
-
-    The gate rejects a point whose 2-norm condition number exceeds
-    RESOLVENT_COND_LIMIT.  LAPACK's 1-norm estimate (zgecon) screens it:
-    kappa_2 <= n kappa_1 and the estimate rarely falls short of kappa_1 by
-    more than 10x, so only a point whose estimate exceeds LIMIT / (100 n)
-    pays for the exact 2-norm condition number.  An exactly singular
-    factorization (info > 0) counts as rcond 0 and takes the exact test.
-    """
-    n = system.state_dim
-    m = np.eye(n) - _mix(system.a, z)
-    if not np.isfinite(m).all():
-        raise ResolventError(f"I - zA has non-finite entries at z = {z.tolist()}")
-    lu, piv, info = zgetrf(m)
-    rcond = zgecon(lu, np.abs(m).sum(axis=0).max())[0] if info == 0 else 0.0
-    if rcond * RESOLVENT_COND_LIMIT < 100 * n:
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
-            raise ResolventError(f"I - zA is singular at z = {z.tolist()} (cond {cond:.2e})")
-    return lu, piv
+@lru_cache(maxsize=None)
+def _probe(n: int) -> np.ndarray:
+    """Unit complex-Gaussian column of C^n from a fixed seed: one per n and process."""
+    p = np.random.default_rng(1983).standard_normal((n, 2)) @ [1.0, 1.0j]
+    return (p / np.linalg.norm(p)).reshape(n, 1)
 
 
 def _transfer_parts(system: MultiparametricSystem, z):
-    """(I - zA)^{-1} zB and theta(z) at one point, from one factorization."""
+    """(I - zA)^{-1} zB and theta(z) at one point, from one solve.
+
+    The gate rejects a point where I - zA has 2-norm condition number above
+    RESOLVENT_COND_LIMIT.  The solve also takes the probe p, and the screen
+    ||I - zA||_F ||(I - zA)^{-1} p|| >= kappa_2 |<v, p>|, v the top right
+    singular vector of the inverse.  As p is uniform on the unit sphere of
+    C^n and independent of the matrix, |<v, p>| < 1/(100 n) has probability
+    below 1e-4 / n (Dixon, SIAM J. Numer. Anal. 20, 1983; Kenney & Laub, SIAM
+    J. Sci. Comput. 15, 1994).  Only a screen above LIMIT / (100 n), or an
+    exactly singular factorization, pays for the exact 2-norm test.
+    """
     z = _check_point(system, z)
     zb = _mix(system.b, z)
     zd = _mix(system.d, z)
-    if system.state_dim == 0:
+    n = system.state_dim
+    if n == 0:
         return np.zeros(zb.shape, dtype=np.complex128), zd
-    x = zgetrs(*_lu(system, z), zb)[0]
-    return x, zd + _mix(system.c, z) @ x
+    m = np.eye(n) - _mix(system.a, z)
+    if not np.isfinite(m).all():
+        raise ResolventError(f"I - zA has non-finite entries at z = {z.tolist()}")
+    try:
+        x = np.linalg.solve(m, np.concatenate((zb, _probe(n)), axis=1))
+        screen = abs(np.vdot(m, m) * np.vdot(x[:, -1], x[:, -1])) ** 0.5
+    except np.linalg.LinAlgError:
+        x, screen = None, np.inf
+    if not screen * 100 * n < RESOLVENT_COND_LIMIT:
+        cond = np.linalg.cond(m)
+        if x is None or not cond <= RESOLVENT_COND_LIMIT:
+            raise ResolventError(f"I - zA is singular at z = {z.tolist()} (cond {cond:.2e})")
+    return x[:, :-1], zd + _mix(system.c, z) @ x[:, :-1]
 
 
 def eval_transfer(system: MultiparametricSystem, z) -> np.ndarray:
@@ -214,7 +218,6 @@ def _series_tail_for_system(system: MultiparametricSystem) -> TailBound:
 def taylor_coefficients(
     system: MultiparametricSystem,
     d: int,
-    allow_large_degree: bool = False,
     dtype=np.complex128,
 ) -> TruncatedOperatorSeries:
     """Taylor coefficients theta_hat_t for 1 <= |t| <= d.
@@ -229,11 +232,6 @@ def taylor_coefficients(
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if d > MAX_DEFAULT_DEGREE and not allow_large_degree:
-        raise ValueError(
-            f"degree {d} exceeds the default cap {MAX_DEFAULT_DEGREE}; "
-            "pass allow_large_degree=True to override"
-        )
     n = system.n
     a = [m.astype(dtype) for m in system.a]
     c = [m.astype(dtype) for m in system.c]

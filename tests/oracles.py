@@ -6,6 +6,7 @@ transfer evaluations, and direct kernel sums.  The package must agree
 with these, not the other way around.
 """
 
+import functools
 import itertools
 import math
 
@@ -49,6 +50,20 @@ def word_count(t) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_values(system: MultiparametricSystem, rho: float, big_l: int) -> tuple:
+    """theta on the tensor grid z(m) = rho * omega^m, m in itertools.product order.
+
+    Every multi-index of a level reads the same grid, so each point is
+    evaluated once per (system, rho, L) rather than once per multi-index.
+    """
+    omega = np.exp(2j * np.pi / big_l)
+    return tuple(
+        eval_transfer(system, rho * omega ** np.asarray(m, dtype=np.float64))
+        for m in itertools.product(range(big_l), repeat=system.n)
+    )
+
+
 def interpolated_coefficient(system: MultiparametricSystem, t, rho=0.15, grid=None) -> np.ndarray:
     """theta_hat_t from pointwise evaluations on a scaled Fourier grid.
 
@@ -63,10 +78,10 @@ def interpolated_coefficient(system: MultiparametricSystem, t, rho=0.15, grid=No
     big_l = grid if grid is not None else depth + 16
     omega = np.exp(2j * np.pi / big_l)
     acc = np.zeros((system.output_dim, system.input_dim), dtype=np.complex128)
-    for m in itertools.product(range(big_l), repeat=n):
-        z = rho * omega ** np.asarray(m, dtype=np.float64)
+    values = _grid_values(system, rho, big_l)
+    for m, value in zip(itertools.product(range(big_l), repeat=n), values):
         phase = omega ** (-sum(mi * ti for mi, ti in zip(m, t)))
-        acc += phase * eval_transfer(system, z)
+        acc += phase * value
     return acc * rho ** (-depth) / big_l**n
 
 

@@ -869,6 +869,64 @@ class TestCliContract:
         report = json.loads(proc.stdout)
         assert report["command"] == "check" and report["pass"] is True
 
+    def test_cli_runs_without_scipy(self, hyp_bundle, unit_bundle, tmp_path):
+        # every subcommand, in a fresh interpreter: the runtime needs numpy only
+        series = tmp_path / "lin.json"
+        coefficients = {(1, 0): [[0.5]], (0, 1): [[0.3]]}
+        bundles.save_bundle(
+            bundles.series_to_bundle(TruncatedOperatorSeries(2, 1, coefficients)), series
+        )
+        dil = str(tmp_path / "dil.json")
+        exact = ["--epsilon", "1", "--degree", "4"]
+        runs = [
+            ["gen", "--n", "2", "--state-dim", "3", "--input-dim", "2", "--out", str(tmp_path / "g.json")],
+            ["check", hyp_bundle],
+            ["simulate", hyp_bundle, "--input", "random"],
+            ["transfer", hyp_bundle, "--at", "0.5"],
+            ["decompose", unit_bundle, *exact, "--tol", "1e-12", "--out", str(tmp_path / "dec.json")],
+            ["dilate", unit_bundle, *exact, "--tol", "1e-10", "--out", dil],
+            ["verify-dilation", unit_bundle, dil, "--tol", "1e-10"],
+            ["realize", str(series), "--tol", "1e-4", "--out", str(tmp_path / "real.json")],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import kreinsys\n"
+            "from kreinsys.cli import main\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(main(argv))\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(json.dumps({'codes': codes, 'scipy': sorted(loaded)}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0] * len(runs), proc.stderr
+        assert result["scipy"] == []
+
+    def test_unwritable_out_exits_two(self, unit_bundle, tmp_path, capsys):
+        (tmp_path / "a_dir").mkdir()
+        exact = ["--epsilon", "1", "--degree", "4", "--tol", "1e-10"]
+        commands = [
+            ["gen", "--n", "1", "--state-dim", "2", "--input-dim", "1"],
+            ["decompose", unit_bundle, *exact],
+            ["dilate", unit_bundle, *exact],
+        ]
+        before = sorted(os.listdir(tmp_path))
+        for argv in commands:
+            for out in (tmp_path / "missing_dir" / "x.json", tmp_path / "a_dir"):
+                capsys.readouterr()
+                assert main(argv + ["--out", str(out)]) == 2
+                captured = capsys.readouterr()
+                assert captured.err.startswith(f"error: cannot write {out}: ")
+                assert len(captured.err.splitlines()) == 1
+                assert "Traceback" not in captured.out + captured.err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(tmp_path / "a_dir") == []
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

@@ -125,7 +125,7 @@ class TestConservativeRealization:
         assert max(jconservativity_defect(res.system, res.j)) <= 1e-8
         assert res.sample_residual <= 1e-5
         # coefficients up to degree 4: exactly the single product term
-        out = taylor_coefficients(res.system, 4, allow_large_degree=True)
+        out = taylor_coefficients(res.system, 4)
         got = out.coefficient((1, 1))
         assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
         rest = sum(
