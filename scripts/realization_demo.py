@@ -34,7 +34,7 @@ def report(name, theta, seed=0):
         rng.uniform(-1, 1, theta.n) + 1j * rng.uniform(-1, 1, theta.n)
     )
     got = res.corner_transfer(z)[0, 0]
-    want = eval_series(theta, z).value[0, 0]
+    want = eval_series(theta, z)[0, 0]
     print(f"  spot check at a random point: |theta_real - theta_input| = {abs(got - want):.2e}")
     print()
 

@@ -8,7 +8,9 @@ subcommands of every workload in `bench/workloads.py` at each seed, plus
 relative paths so that the text does not depend on where it runs.  The
 package is imported from the `src/` of the checkout this file sits in.
 Prints one `seed name sha256` line per file; running it on two checkouts
-and diffing the output shows every byte that changed.
+and diffing the output shows every byte that changed.  Reports depend on
+the BLAS thread count, so the script pins one thread, as the benchmark
+does, before numpy loads: its digests then compare across hosts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+THREAD_ENV = {
+    "OMP_NUM_THREADS": "1",
+    "OPENBLAS_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "VECLIB_MAXIMUM_THREADS": "1",
+    "NUMEXPR_NUM_THREADS": "1",
+}
+os.environ.update(THREAD_ENV)  # before numpy loads
 
 from kreinsys import bundles  # noqa: E402
 from kreinsys.cli import main as kreinsys_main  # noqa: E402

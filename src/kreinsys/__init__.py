@@ -35,8 +35,6 @@ from .lattice import (  # noqa: F401
 )
 from .transfer import (  # noqa: F401
     TruncatedOperatorSeries,
-    TailBound,
-    EvalResult,
     ResolventError,
     eval_transfer,
     taylor_coefficients,

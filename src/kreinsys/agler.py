@@ -43,12 +43,19 @@ the fewest rows that reproduce its Gram.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .krein import RANK_RTOL, CanonicalSymmetry, hermitian_sqrt, opnorm
-from .systems import SystemOperatorTuple, fourier_grid
-from .transfer import TruncatedOperatorSeries, _transfer_parts, eval_series
+from .systems import SystemOperatorTuple, _points, fourier_grid
+from .transfer import (
+    TruncatedOperatorSeries,
+    _operator_entries,
+    _point_blocks,
+    _transfer_parts,
+    eval_series,
+)
 
 __all__ = [
     "DecompositionComponent",
@@ -83,13 +90,14 @@ class DecompositionComponent:
     def dim(self) -> int:
         return self.m_plus + self.m_minus
 
-    @property
+    @cached_property
     def j(self) -> CanonicalSymmetry:
         signs = np.concatenate([np.ones(self.m_plus), -np.ones(self.m_minus)])
         return CanonicalSymmetry.from_signs(signs)
 
     def value(self, z) -> np.ndarray:
-        return eval_series(self.series, z).value
+        """F_k at a point, or an (S, rows, cols) stack at the rows of an (S, N) array."""
+        return eval_series(self.series, z)
 
     def coefficient(self, t) -> np.ndarray:
         return self.series.coefficient(t)
@@ -344,31 +352,44 @@ def minimal_factor(dec: AglerDecomposition) -> tuple[AglerDecomposition, float]:
     return replace(dec, components=tuple(components)), float(worst)
 
 
+def _adj(x: np.ndarray) -> np.ndarray:
+    """Adjoint of a matrix, or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _blocks(dec: AglerDecomposition, count: int, entries: int = 0) -> list:
+    """Point blocks sized for one component value, rows x columns, or ``entries``."""
+    rows = max(c.dim for c in dec.components)
+    return _point_blocks(count, max(entries, rows * dec.domain_dim))
+
+
 def _check_pairs(dec: AglerDecomposition, pairs):
-    checked = []
-    for lam, z in pairs:
-        lam = np.asarray(lam, dtype=np.complex128).reshape(-1)
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        if lam.size != dec.n or z.size != dec.n:
-            raise ValueError(f"pair points must lie in C^{dec.n}")
-        if max(np.max(np.abs(lam)), np.max(np.abs(z))) > dec.radius + 1e-12:
-            raise ValueError(
-                f"pair ({lam.tolist()}, {z.tolist()}) outside certified radius {dec.radius}"
-            )
-        checked.append((lam, z))
-    return checked
+    """The pairs as two (S, N) arrays, each point inside the certified polydisk."""
+    pairs = list(pairs)
+    shape = (len(pairs), dec.n)
+    try:
+        lams = np.asarray([lam for lam, _ in pairs], dtype=np.complex128).reshape(shape)
+        zs = np.asarray([z for _, z in pairs], dtype=np.complex128).reshape(shape)
+    except ValueError:
+        raise ValueError(f"pair points must lie in C^{dec.n}") from None
+    reach = np.maximum(np.max(np.abs(lams), axis=1), np.max(np.abs(zs), axis=1))
+    outside = np.flatnonzero(reach > dec.radius + 1e-12)
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"pair ({lams[i].tolist()}, {zs[i].tolist()}) outside certified radius {dec.radius}"
+        )
+    return lams, zs
 
 
-def kernel_residual(g: SystemOperatorTuple, dec: AglerDecomposition, lam, z) -> float:
-    """Residual of the kernel identity at one pair."""
-    q = dec.domain_dim
-    lg = g.pencil(lam)
-    zg = g.pencil(z)
-    acc = np.eye(q, dtype=np.complex128) - lg.conj().T @ zg
+def kernel_residual(g: SystemOperatorTuple, dec: AglerDecomposition, lam, z):
+    """Residual of the kernel identity at one pair, or the array of residuals at
+    the pairs of rows of two (S, N) arrays."""
+    lam, z = _points(lam, dec.n), _points(z, dec.n)
+    acc = np.eye(dec.domain_dim, dtype=np.complex128) - _adj(g.pencil(lam)) @ g.pencil(z)
     for k, c in enumerate(dec.components):
-        vl = c.value(lam)
-        vz = c.value(z)
-        acc -= (1.0 - np.conj(lam[k]) * z[k]) * (vl.conj().T @ c.j.apply(vz))
+        w = 1.0 - lam[..., k, None, None].conj() * z[..., k, None, None]
+        acc -= w * (_adj(c.value(lam)) @ (c.j.signs[:, None] * c.value(z)))
     return opnorm(acc)
 
 
@@ -383,18 +404,20 @@ def verify_kernel_identity(
     With enforce=True, raises if the measured residual exceeds the
     stored certificate (plus a roundoff allowance).
     """
+    lams, zs = _check_pairs(dec, pairs)
     worst = 0.0
-    for lam, z in _check_pairs(dec, pairs):
-        worst = max(worst, kernel_residual(g, dec, lam, z))
+    for blk in _blocks(dec, len(lams)):
+        worst = max(worst, float(np.max(kernel_residual(g, dec, lams[blk], zs[blk]))))
     if enforce and worst > dec.kernel_bound:
         raise ValueError(f"kernel residual {worst:.3e} exceeds certificate {dec.kernel_bound:.3e}")
     return worst
 
 
 def _split_value(dec: AglerDecomposition, values: list):
-    plus = [v[: c.m_plus] for v, c in zip(values, dec.components)]
-    minus = [v[c.m_plus :] for v, c in zip(values, dec.components)]
-    return plus, minus
+    """The positive and the negative rows of every component value, each stacked."""
+    plus = [v[..., : c.m_plus, :] for v, c in zip(values, dec.components)]
+    minus = [v[..., c.m_plus :, :] for v, c in zip(values, dec.components)]
+    return np.concatenate(plus, axis=-2), np.concatenate(minus, axis=-2)
 
 
 def derived_zero_identities(dec: AglerDecomposition) -> dict:
@@ -410,44 +433,36 @@ def derived_zero_identities(dec: AglerDecomposition) -> dict:
       semiunitary: F(0)* J_M F(0) = I
     """
     rng = np.random.default_rng(0)
-    z_samples = [
+    z_samples = np.array([
         dec.radius * rng.uniform(-1, 1, dec.n) * np.exp(2j * np.pi * rng.uniform(size=dec.n))
         for _ in range(20)
-    ]
+    ])
     q = dec.domain_dim
     eye = np.eye(q)
-    zero = (0,) * dec.n
-    values0 = [c.coefficient(zero) for c in dec.components]
-    plus0, minus0 = _split_value(dec, values0)
-    fp0 = np.vstack(plus0)
-    fm0 = np.vstack(minus0)
+    f0 = dec.f0()
+    fp0, fm0 = _split_value(dec, [c.coefficient((0,) * dec.n) for c in dec.components])
     signs = dec.j_m().signs
-    f0 = np.vstack(values0)
 
     report = {
-        "f_plus_00": opnorm(fp0.conj().T @ fp0 - dec.epsilon**2 * eye),
-        "semiunitary": opnorm((f0.conj().T * signs) @ f0 - eye),
+        "f_plus_00": opnorm(_adj(fp0) @ fp0 - dec.epsilon**2 * eye),
+        "semiunitary": opnorm((_adj(f0) * signs) @ f0 - eye),
         "f_plus": 0.0,
         "f_minus": 0.0,
         "polarization": 0.0,
     }
-    for z in z_samples:
-        values = dec.evaluate(z)
-        plus, minus = _split_value(dec, values)
-        fpz = np.vstack(plus)
-        fmz = np.vstack(minus)
-        report["f_plus"] = max(
-            report["f_plus"], opnorm(fp0.conj().T @ fpz - dec.epsilon**2 * eye)
-        )
-        if fm0.shape[0]:
-            report["f_minus"] = max(
-                report["f_minus"],
-                opnorm(fm0.conj().T @ fmz - (dec.epsilon**2 - 1.0) * eye),
-            )
-        fz = np.vstack(values)
-        lhs = ((fz - f0).conj().T * signs) @ (fz - f0)
-        rhs = (fz.conj().T * signs) @ fz - (f0.conj().T * signs) @ f0
-        report["polarization"] = max(report["polarization"], opnorm(lhs - rhs))
+    for blk in _blocks(dec, len(z_samples)):
+        values = dec.evaluate(z_samples[blk])
+        fpz, fmz = _split_value(dec, values)
+        fz = np.concatenate(values, axis=-2)
+        lhs = (_adj(fz - f0) * signs) @ (fz - f0)
+        rhs = (_adj(fz) * signs) @ fz - (_adj(f0) * signs) @ f0
+        worst = {
+            "f_plus": opnorm(_adj(fp0) @ fpz - dec.epsilon**2 * eye),
+            "f_minus": opnorm(_adj(fm0) @ fmz - (dec.epsilon**2 - 1.0) * eye) if fm0.size else 0,
+            "polarization": opnorm(lhs - rhs),
+        }
+        for key, value in worst.items():
+            report[key] = max(report[key], float(np.max(value)))
     report["max"] = max(v for v in report.values())
     return report
 
@@ -465,51 +480,34 @@ def transform_identities(dec: AglerDecomposition, g: SystemOperatorTuple, pairs)
     """
     report = {"plus": 0.0, "minus": 0.0, "sum": 0.0, "jweighted": 0.0}
     zero = (0,) * dec.n
-    values0 = [c.coefficient(zero) for c in dec.components]
-    plus0, minus0 = _split_value(dec, values0)
+    plus0, minus0 = _split_value(dec, [c.coefficient(zero) for c in dec.components])
     signs = dec.j_m().signs
-    f0 = np.vstack(values0)
-    for lam, z in _check_pairs(dec, pairs):
+    f0 = dec.f0()
+    lams, zs = _check_pairs(dec, pairs)
+    for blk in _blocks(dec, len(lams)):
+        lam, z = lams[blk], zs[blk]
         vl = dec.evaluate(lam)
         vz = dec.evaluate(z)
         pl, ml = _split_value(dec, vl)
         pz, mz = _split_value(dec, vz)
-        lg = g.pencil(lam)
-        zg = g.pencil(z)
-
-        lp_plus = np.vstack([lam[k] * v for k, v in enumerate(pl)])
-        zp_plus = np.vstack([z[k] * v for k, v in enumerate(pz)])
-        dp_l = np.vstack(pl) - np.vstack(plus0)
-        dp_z = np.vstack(pz) - np.vstack(plus0)
-        report["plus"] = max(
-            report["plus"],
-            opnorm(lp_plus.conj().T @ zp_plus - dp_l.conj().T @ dp_z - lg.conj().T @ zg),
-        )
-
-        lp_minus = np.vstack([lam[k] * v for k, v in enumerate(ml)])
-        zp_minus = np.vstack([z[k] * v for k, v in enumerate(mz)])
-        dm_l = np.vstack(ml) - np.vstack(minus0)
-        dm_z = np.vstack(mz) - np.vstack(minus0)
-        if lp_minus.shape[0]:
-            report["minus"] = max(
-                report["minus"],
-                opnorm(lp_minus.conj().T @ zp_minus - dm_l.conj().T @ dm_z),
-            )
-
-        lp = np.vstack([lam[k] * v for k, v in enumerate(vl)])
-        zp = np.vstack([z[k] * v for k, v in enumerate(vz)])
-        d_l = np.vstack(vl) - f0
-        d_z = np.vstack(vz) - f0
-        report["sum"] = max(
-            report["sum"],
-            opnorm(lp.conj().T @ zp - d_l.conj().T @ d_z - lg.conj().T @ zg),
-        )
-        report["jweighted"] = max(
-            report["jweighted"],
-            opnorm(
-                (lp.conj().T * signs) @ zp - (d_l.conj().T * signs) @ d_z - lg.conj().T @ zg
-            ),
-        )
+        lgzg = _adj(g.pencil(lam)) @ g.pencil(z)
+        # zP F(z): z_k on the rows of component k
+        lpv = [lam[:, k, None, None] * v for k, v in enumerate(vl)]
+        zpv = [z[:, k, None, None] * v for k, v in enumerate(vz)]
+        lp_plus, lp_minus = _split_value(dec, lpv)
+        zp_plus, zp_minus = _split_value(dec, zpv)
+        lp, zp = np.concatenate(lpv, axis=1), np.concatenate(zpv, axis=1)
+        dp_l, dp_z = pl - plus0, pz - plus0
+        dm_l, dm_z = ml - minus0, mz - minus0
+        d_l, d_z = np.concatenate(vl, axis=1) - f0, np.concatenate(vz, axis=1) - f0
+        worst = {
+            "plus": opnorm(_adj(lp_plus) @ zp_plus - _adj(dp_l) @ dp_z - lgzg),
+            "minus": opnorm(_adj(lp_minus) @ zp_minus - _adj(dm_l) @ dm_z),
+            "sum": opnorm(_adj(lp) @ zp - _adj(d_l) @ d_z - lgzg),
+            "jweighted": opnorm((_adj(lp) * signs) @ zp - (_adj(d_l) * signs) @ d_z - lgzg),
+        }
+        for key, value in worst.items():
+            report[key] = max(report[key], float(np.max(value)))
     report["max"] = max(report.values())
     return report
 
@@ -527,24 +525,23 @@ def prop2_functions(system, dec: AglerDecomposition, pairs):
     the max residual of the identity.
     """
     du = system.input_dim
-    checked = _check_pairs(dec, pairs)
+    lams, zs = _check_pairs(dec, pairs)
     h_values = []
     worst = 0.0
 
     def h_at(z):
         x, theta = _transfer_parts(system, z)
-        col = np.vstack([x, np.eye(du)])
+        col = np.concatenate((x, np.broadcast_to(np.eye(du), (len(z), du, du))), axis=1)
         return [c.value(z) @ col for c in dec.components], theta
 
-    for lam, z in checked:
+    for blk in _blocks(dec, len(lams), _operator_entries(system)):
+        lam, z = lams[blk], zs[blk]
         hl, theta_l = h_at(lam)
         hz, theta_z = h_at(z)
-        acc = np.eye(du, dtype=np.complex128)
-        acc -= theta_l.conj().T @ theta_z
+        acc = np.eye(du, dtype=np.complex128) - _adj(theta_l) @ theta_z
         for k, c in enumerate(dec.components):
-            acc -= (1.0 - np.conj(lam[k]) * z[k]) * (
-                hl[k].conj().T @ c.j.apply(hz[k])
-            )
-        worst = max(worst, opnorm(acc))
-        h_values.append((hl, hz))
+            w = 1.0 - lam[:, k, None, None].conj() * z[:, k, None, None]
+            acc -= w * (_adj(hl[k]) @ (c.j.signs[:, None] * hz[k]))
+        worst = max(worst, float(np.max(opnorm(acc))))
+        h_values += [([h[i] for h in hl], [h[i] for h in hz]) for i in range(len(acc))]
     return h_values, worst

@@ -54,11 +54,12 @@ from .systems import (
     MultiparametricSystem,
     SystemOperatorTuple,
     _mix,
+    _sample_points,
     conservativity_bound,
     system_from_operators,
     system_operators,
 )
-from .transfer import eval_transfer, multi_indices
+from .transfer import _operator_entries, _point_blocks, eval_transfer, multi_indices
 
 DEFECT_NAMES = (
     "factor",
@@ -216,18 +217,17 @@ def verify_linear_tf(check_system: MultiparametricSystem, g, z_samples, n_max=No
     if n_max is None:
         n_max = check_system.state_dim + 2
     worst = max(opnorm(check_system.d[k] - g[k]) for k in range(g.n))
-    for z in z_samples:
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        worst = max(worst, opnorm(eval_transfer(check_system, z) - g.pencil(z)))
+    pts = _sample_points(z_samples, g.n)
+    for blk in _point_blocks(len(pts), _operator_entries(check_system)):
+        z = pts[blk]
+        worst = max(worst, np.max(opnorm(eval_transfer(check_system, z) - g.pencil(z))))
         za = _mix(check_system.a, z)
-        zb = _mix(check_system.b, z)
         zc = _mix(check_system.c, z)
-        prods, chain = [], zb
+        prods, chain = [], _mix(check_system.b, z)
         for _ in range(n_max + 1):
             prods.append(zc @ chain)
             chain = za @ chain
-        if prods and prods[0].size:
-            worst = max(worst, np.max(np.linalg.norm(np.stack(prods), 2, axis=(1, 2))))
+        worst = max(worst, np.max(opnorm(np.concatenate(prods))))
     return float(worst)
 
 
@@ -259,12 +259,8 @@ def _compression_and_transfer(alpha, alpha_tilde, z_samples) -> tuple[float, flo
             opnorm(alpha_tilde.c[k][:, lead:] - alpha.c[k]),
             opnorm(alpha_tilde.d[k] - alpha.d[k]),
         )
-    transfer = 0.0
-    for z in z_samples:
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        transfer = max(
-            transfer, opnorm(eval_transfer(alpha_tilde, z) - eval_transfer(alpha, z))
-        )
+    z = _sample_points(z_samples, alpha.n)
+    transfer = np.max(opnorm(eval_transfer(alpha_tilde, z) - eval_transfer(alpha, z)), initial=0.0)
     return float(comp), float(transfer)
 
 

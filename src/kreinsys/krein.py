@@ -51,9 +51,12 @@ def _as_basis(a) -> np.ndarray:
     return a
 
 
-def opnorm(a) -> float:
-    """Spectral norm, with the empty matrix mapped to 0."""
+def opnorm(a):
+    """Spectral norm, with the empty matrix mapped to 0; of an (S, r, c) stack,
+    the array of its S norms."""
     a = np.asarray(a)
+    if a.ndim == 3:
+        return np.linalg.norm(a, 2, axis=(1, 2)) if a.size else np.zeros(len(a))
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))

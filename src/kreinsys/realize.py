@@ -122,7 +122,7 @@ class RealizationResult:
 
     def corner_transfer(self, z) -> np.ndarray:
         """Transfer of the realized system restricted to the original channels."""
-        return eval_transfer(self.system, z)[: self.output_dim, : self.input_dim]
+        return eval_transfer(self.system, z)[..., : self.output_dim, : self.input_dim]
 
 
 def jconservative_realization(
@@ -161,18 +161,14 @@ def jconservative_realization(
             target[:dy, :du] = theta.coefficient(t)
             residuals[t] = float(opnorm(realized.get(t, zero_block) - target))
 
-    # Real and imaginary parts are drawn point by point here, while
-    # dilation._disk_samples draws all real parts first: switching to it
-    # would change the points and the reported sample residual.
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        z = radius / np.sqrt(2) * (
-            rng.uniform(-1, 1, theta.n) + 1j * rng.uniform(-1, 1, theta.n)
-        )
-        want = eval_series(theta, z).value
-        got = eval_transfer(dil.alpha_tilde, z)[:dy, :du]
-        worst = max(worst, float(opnorm(got - want)))
+    # The real and the imaginary parts of each point are drawn in turn, point
+    # after point, while dilation._disk_samples draws all real parts first:
+    # switching to it would change the points and the reported sample residual.
+    parts = np.random.default_rng(seed).uniform(-1, 1, (samples, 2, theta.n))
+    z = radius / np.sqrt(2) * (parts[:, 0] + 1j * parts[:, 1])
+    want = eval_series(theta, z)
+    got = eval_transfer(dil.alpha_tilde, z)[:, :dy, :du]
+    worst = float(np.max(opnorm(got - want), initial=0.0))
 
     return RealizationResult(
         system=dil.alpha_tilde,

@@ -45,14 +45,31 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def _mix(blocks, z) -> np.ndarray:
-    """sum_k z_k T_k over a checked point z, accumulated in place in k order.
+def _points(z, n: int) -> np.ndarray:
+    """z as complex points of C^n: shape (n,) for one point, (S, n) for S points."""
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim < 2:
+        z = z.reshape(-1)
+    if z.ndim > 2 or z.shape[-1] != n:
+        raise ValueError(f"expected a point of C^{n} or an (S, {n}) array of points")
+    return z
 
-    Adding +0.0 to the first term gives the bits of a sum started from
-    zeros (-0.0 entries become +0.0) without the page faults of a fresh
-    zero matrix at large state dimensions.
+
+def _sample_points(z_samples, n: int) -> np.ndarray:
+    """A sequence of points of C^n as an (S, n) array; S may be 0."""
+    return np.reshape(np.asarray(z_samples, dtype=np.complex128), (-1, n))
+
+
+def _mix(blocks, z) -> np.ndarray:
+    """sum_k z_k T_k over checked points z, accumulated in place in k order:
+    one matrix for a point of shape (N,), an (S, rows, cols) stack for (S, N).
+
+    Each point's matrix has the bits of the sum at that point alone.  Adding
+    +0.0 to the first term gives the bits of a sum started from zeros (-0.0
+    entries become +0.0) without the page faults of a fresh zero matrix at
+    large state dimensions.
     """
-    zs = z.tolist()
+    zs = z.T[..., None, None]
     out = zs[0] * blocks[0]
     out += 0.0
     for zk, t in zip(zs[1:], blocks[1:]):
@@ -138,11 +155,8 @@ class SystemOperatorTuple:
         return self.operators[k]
 
     def pencil(self, z) -> np.ndarray:
-        """Evaluate sum_k z_k G_k."""
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        if z.size != self.n:
-            raise ValueError(f"expected {self.n} pencil variables")
-        return _mix(self.operators, z)
+        """Evaluate sum_k z_k G_k at a point, or at each row of an (S, N) array."""
+        return _mix(self.operators, _points(z, self.n))
 
 
 def system_operators(system: MultiparametricSystem) -> SystemOperatorTuple:

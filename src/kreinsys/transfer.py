@@ -6,26 +6,24 @@ The transfer function of a system is
 
 holomorphic near 0 and vanishing at z = 0.  This module evaluates it
 directly, expands it into Taylor coefficients indexed by multi-indices
-of Z_+^N, evaluates truncated coefficient series with certified
-geometric tail bounds, and checks the transformed recursion identities
-on sample points.
+of Z_+^N, evaluates truncated coefficient series, and checks the
+transformed recursion identities on sample points.  Every evaluator takes
+one point of C^N or an (S, N) array of points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .krein import opnorm
-from .systems import MultiparametricSystem, _mix
+from .systems import MultiparametricSystem, _mix, _points, _sample_points
 
 __all__ = [
     "ResolventError",
-    "TailBound",
     "TruncatedOperatorSeries",
-    "EvalResult",
     "eval_transfer",
     "taylor_coefficients",
     "eval_series",
@@ -50,11 +48,27 @@ def multi_indices(n: int, level: int):
             yield (first,) + rest
 
 
-def _check_point(system: MultiparametricSystem, z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    if z.size != system.n:
-        raise ValueError(f"expected a point of C^{system.n}")
-    return z
+#: cap on the bytes of one stacked temporary of a point-batched evaluation:
+#: a block holds one point once a point's temporary takes more than half of it
+BLOCK_BYTES = 1 << 18
+
+
+def _point_blocks(count: int, entries: int) -> list:
+    """Slices covering range(count) in blocks of points whose stacked temporary,
+    ``entries`` complex numbers per point, stays within BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // (16 * max(entries, 1)))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _operator_entries(system: MultiparametricSystem) -> int:
+    """Entries of one point's mixed system operator zG, rows x columns."""
+    return (system.state_dim + system.output_dim) * (system.state_dim + system.input_dim)
+
+
+def _sumsq(a: np.ndarray) -> np.ndarray:
+    """Sum of |a|^2 over each matrix of a stack, as one batched dot."""
+    f = a.view(np.float64).reshape(len(a), 1, -1)
+    return (f @ f.swapaxes(1, 2))[:, 0, 0]
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +79,8 @@ def _probe(n: int) -> np.ndarray:
 
 
 def _transfer_parts(system: MultiparametricSystem, z):
-    """(I - zA)^{-1} zB and theta(z) at one point, from one solve.
+    """(I - zA)^{-1} zB and theta(z) as (S, ., .) stacks at checked points z of
+    shape (S, N), from one stacked solve.
 
     The gate rejects a point where I - zA has 2-norm condition number above
     RESOLVENT_COND_LIMIT.  The solve also takes the probe p, and the screen
@@ -74,83 +89,60 @@ def _transfer_parts(system: MultiparametricSystem, z):
     C^n and independent of the matrix, |<v, p>| < 1/(100 n) has probability
     below 1e-4 / n (Dixon, SIAM J. Numer. Anal. 20, 1983; Kenney & Laub, SIAM
     J. Sci. Comput. 15, 1994).  Only a screen above LIMIT / (100 n), or an
-    exactly singular factorization, pays for the exact 2-norm test.
+    exactly singular factorization, pays for the exact 2-norm test.  A stack
+    with a non-finite or exactly singular pencil is redone one point at a
+    time, so the first failing point is the one named.
     """
-    z = _check_point(system, z)
     zb = _mix(system.b, z)
     zd = _mix(system.d, z)
     n = system.state_dim
     if n == 0:
         return np.zeros(zb.shape, dtype=np.complex128), zd
     m = np.eye(n) - _mix(system.a, z)
-    if not np.isfinite(m).all():
-        raise ResolventError(f"I - zA has non-finite entries at z = {z.tolist()}")
+    finite = np.isfinite(m).all()
+    rhs = np.empty((len(z), n, zb.shape[2] + 1), dtype=np.complex128)
+    rhs[..., :-1] = zb
+    rhs[..., -1:] = _probe(n)
     try:
-        x = np.linalg.solve(m, np.concatenate((zb, _probe(n)), axis=1))
-        screen = abs(np.vdot(m, m) * np.vdot(x[:, -1], x[:, -1])) ** 0.5
+        x = np.linalg.solve(m, rhs) if finite else None
     except np.linalg.LinAlgError:
-        x, screen = None, np.inf
-    if not screen * 100 * n < RESOLVENT_COND_LIMIT:
-        cond = np.linalg.cond(m)
+        x = None
+    if x is None and len(z) > 1:
+        parts = [_transfer_parts(system, z[i : i + 1]) for i in range(len(z))]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    if not finite:
+        raise ResolventError(f"I - zA has non-finite entries at z = {z[0].tolist()}")
+    screen = np.full(1, np.inf) if x is None else np.sqrt(_sumsq(m) * _sumsq(x[..., -1:]))
+    for i in (~(screen * (100 * n) < RESOLVENT_COND_LIMIT)).nonzero()[0]:
+        cond = np.linalg.cond(m[i])
         if x is None or not cond <= RESOLVENT_COND_LIMIT:
-            raise ResolventError(f"I - zA is singular at z = {z.tolist()} (cond {cond:.2e})")
-    return x[:, :-1], zd + _mix(system.c, z) @ x[:, :-1]
+            raise ResolventError(f"I - zA is singular at z = {z[i].tolist()} (cond {cond:.2e})")
+    x = x[..., :-1]
+    return x, zd + _mix(system.c, z) @ x
 
 
 def eval_transfer(system: MultiparametricSystem, z) -> np.ndarray:
-    """theta(z) = zD + zC (I - zA)^{-1} zB."""
-    return _transfer_parts(system, z)[1]
-
-
-@dataclass(frozen=True)
-class TailBound:
-    """Certified bound on the discarded levels of a truncated series.
-
-    kind "none": the series is exact (polynomial), tail 0.
-    kind "geometric": the level-m part is bounded by magnitude*(ratio*r)^m
-    when evaluated with max_k |z_k| <= r, so the tail after degree d is
-    magnitude*(ratio*r)^(d+1) / (1 - ratio*r), valid for ratio*r < 1.
-    """
-
-    kind: str = "none"
-    ratio: float = 0.0
-    magnitude: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "geometric"):
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-        if self.ratio < 0 or self.magnitude < 0:
-            raise ValueError("tail parameters must be nonnegative")
-
-    def bound(self, r: float, degree: int) -> float:
-        if self.kind == "none":
-            return 0.0
-        q = self.ratio * r
-        if q >= 1.0:
-            raise ValueError(
-                f"evaluation radius {r} is outside the certified polydisk (ratio {self.ratio})"
-            )
-        return self.magnitude * q ** (degree + 1) / (1.0 - q)
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    value: np.ndarray
-    tail_error: float
-
-    def __post_init__(self):
-        if self.tail_error < 0:
-            raise ValueError("tail_error must be nonnegative")
+    """theta(z) = zD + zC (I - zA)^{-1} zB at a point of C^N, or an (S, dY, dU)
+    stack at the rows of an (S, N) array, solved one block of points at a time."""
+    z = _points(z, system.n)
+    pts = z.reshape(-1, system.n)
+    out = np.empty((len(pts), system.output_dim, system.input_dim), dtype=np.complex128)
+    for blk in _point_blocks(len(pts), _operator_entries(system)):
+        out[blk] = _transfer_parts(system, pts[blk])[1]
+    return out if z.ndim == 2 else out[0]
 
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperatorSeries:
-    """Matrix power series sum_s coeff[s] z^s truncated at |s| <= degree."""
+    """Matrix power series sum_s coeff[s] z^s truncated at |s| <= degree.
+
+    The coefficients are views into one (K, rows, cols) stack, so that a
+    batch of points is evaluated with one matmul.
+    """
 
     n: int
     degree: int
     coefficients: dict
-    tail: TailBound = field(default_factory=TailBound)
 
     def __post_init__(self):
         coeffs = {}
@@ -173,8 +165,11 @@ class TruncatedOperatorSeries:
             coeffs[s] = m
         if shape is None:
             raise ValueError("series needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
+        stack = np.stack(list(coeffs.values()))
+        object.__setattr__(self, "coefficients", dict(zip(coeffs, stack)))
         object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_stack", stack.reshape(len(coeffs), -1))
+        object.__setattr__(self, "_indices", np.array(list(coeffs)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -185,34 +180,17 @@ class TruncatedOperatorSeries:
         return self.coefficients.get(s, np.zeros(self._shape, dtype=np.complex128))
 
 
-def eval_series(series: TruncatedOperatorSeries, z) -> EvalResult:
-    """Evaluate the truncated series at z with its certified tail error."""
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    if z.size != series.n:
-        raise ValueError(f"expected a point of C^{series.n}")
-    r = float(np.max(np.abs(z))) if z.size else 0.0
-    tail_error = series.tail.bound(r, series.degree)
-    powers = [np.power(z[k], np.arange(series.degree + 1)) for k in range(series.n)]
-    value = np.zeros(series.shape, dtype=np.complex128)
-    for s, m in series.coefficients.items():
-        mono = 1.0 + 0.0j
-        for k, e in enumerate(s):
-            mono *= powers[k][e]
-        value = value + mono * m
-    return EvalResult(value=value, tail_error=tail_error)
-
-
-def _series_tail_for_system(system: MultiparametricSystem) -> TailBound:
-    a_norm = sum(opnorm(m) for m in system.a)
-    b_norm = sum(opnorm(m) for m in system.b)
-    c_norm = sum(opnorm(m) for m in system.c)
-    d_norm = sum(opnorm(m) for m in system.d)
-    if a_norm == 0.0:
-        # coefficients vanish beyond level 2, so any truncation at
-        # degree >= 2 is exact
-        return TailBound("geometric", ratio=0.0, magnitude=0.0)
-    mag = max(c_norm * b_norm / a_norm**2, d_norm / a_norm)
-    return TailBound("geometric", ratio=a_norm, magnitude=mag)
+def eval_series(series: TruncatedOperatorSeries, z) -> np.ndarray:
+    """The truncated series at a point of C^N, or an (S, rows, cols) stack at the
+    rows of an (S, N) array: a power table of the points, then one matmul."""
+    z = _points(z, series.n)
+    pts = z.reshape(-1, series.n)
+    powers = np.power(pts[:, :, None], np.arange(series.degree + 1))
+    mono = powers[:, 0, series._indices[:, 0]]
+    for k in range(1, series.n):
+        mono = mono * powers[:, k, series._indices[:, k]]
+    value = (mono @ series._stack).reshape(len(pts), *series.shape)
+    return value if z.ndim == 2 else value[0]
 
 
 def taylor_coefficients(
@@ -262,9 +240,7 @@ def taylor_coefficients(
                         acc += c[j] @ w[k][lower(tj, k)]
             if np.any(acc):
                 coeffs[t] = acc
-    return TruncatedOperatorSeries(
-        n=n, degree=d, coefficients=coeffs, tail=_series_tail_for_system(system)
-    )
+    return TruncatedOperatorSeries(n=n, degree=d, coefficients=coeffs)
 
 
 def z_transform_check(
@@ -281,16 +257,16 @@ def z_transform_check(
     """
     if u_series.shape[0] != system.input_dim:
         raise ValueError("input series dimension does not match the system")
+    pts = _sample_points(z_samples, system.n)
     r_state = 0.0
     r_transfer = 0.0
-    for z in z_samples:
-        z = _check_point(system, z)
-        u_hat = eval_series(u_series, z).value
-        za = _mix(system.a, z)
-        zb = _mix(system.b, z)
+    for blk in _point_blocks(len(pts), _operator_entries(system)):
+        z = pts[blk]
+        u_hat = eval_series(u_series, z)
         x, theta = _transfer_parts(system, z)
         x_hat = x @ u_hat
-        r_state = max(r_state, opnorm(x_hat - za @ x_hat - zb @ u_hat))
+        state = x_hat - _mix(system.a, z) @ x_hat - _mix(system.b, z) @ u_hat
         y_hat = _mix(system.c, z) @ x_hat + _mix(system.d, z) @ u_hat
-        r_transfer = max(r_transfer, opnorm(y_hat - theta @ u_hat))
+        r_state = max(r_state, float(np.max(opnorm(state))))
+        r_transfer = max(r_transfer, float(np.max(opnorm(y_hat - theta @ u_hat))))
     return {"state": r_state, "transfer": r_transfer}

@@ -51,17 +51,16 @@ def word_count(t) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_values(system: MultiparametricSystem, rho: float, big_l: int) -> tuple:
+def _grid_values(system: MultiparametricSystem, rho: float, big_l: int) -> np.ndarray:
     """theta on the tensor grid z(m) = rho * omega^m, m in itertools.product order.
 
-    Every multi-index of a level reads the same grid, so each point is
-    evaluated once per (system, rho, L) rather than once per multi-index.
+    Every multi-index of a level reads the same grid, so the whole grid is
+    evaluated once per (system, rho, L), in one batched call, rather than
+    once per multi-index.
     """
     omega = np.exp(2j * np.pi / big_l)
-    return tuple(
-        eval_transfer(system, rho * omega ** np.asarray(m, dtype=np.float64))
-        for m in itertools.product(range(big_l), repeat=system.n)
-    )
+    grid = np.array(list(itertools.product(range(big_l), repeat=system.n)), dtype=np.float64)
+    return eval_transfer(system, rho * omega**grid)
 
 
 def interpolated_coefficient(system: MultiparametricSystem, t, rho=0.15, grid=None) -> np.ndarray:

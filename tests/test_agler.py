@@ -226,9 +226,7 @@ def _perturb_zero_coefficient(dec, size):
     m = np.array(coeffs[zero])
     m[0, 0] += size
     coeffs[zero] = m
-    series = TruncatedOperatorSeries(
-        n=dec.n, degree=dec.degree, coefficients=coeffs, tail=c.series.tail
-    )
+    series = TruncatedOperatorSeries(n=dec.n, degree=dec.degree, coefficients=coeffs)
     comp = DecompositionComponent(
         index=c.index, m_plus=c.m_plus, m_minus=c.m_minus, series=series
     )

@@ -1,4 +1,6 @@
-"""Tests for transfer evaluation, Taylor coefficients, and series tails."""
+"""Tests for transfer evaluation, Taylor coefficients, and series evaluation."""
+
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +8,7 @@ import pytest
 from kreinsys.lattice import LatticeSignal, simulate
 from kreinsys.systems import MultiparametricSystem, conjugate_system
 from kreinsys.transfer import (
-    EvalResult,
     ResolventError,
-    TailBound,
     TruncatedOperatorSeries,
     eval_series,
     eval_transfer,
@@ -125,6 +125,23 @@ def unitary_pencil(n):
     return family
 
 
+GATE_FAMILIES = (
+    diagonal_pencil,
+    similar_pencil,
+    jordan_pencil,
+    dense_row_pencil,
+    ones_orthogonal_pencil,
+    *(unitary_pencil(n) for n in (5, 47, 228)),
+)
+
+#: z = 1, where each family's pencil is m, between two points where it is (I + m) / 2 or better
+BATCH = np.array([[0.5], [1.0], [0.25]])
+
+
+def names_point_one():
+    return pytest.raises(ResolventError, match=re.escape("z = [(1+0j)]"))
+
+
 class TestResolventGate:
     """The probe-screened gate rejects exactly the points the 2-norm test rejects."""
 
@@ -132,17 +149,7 @@ class TestResolventGate:
         [np.geomspace(1e8, 1e16, 41), RESOLVENT_LIMIT * np.geomspace(0.5, 2.0, 61)]
     )
 
-    @pytest.mark.parametrize(
-        "family",
-        [
-            diagonal_pencil,
-            similar_pencil,
-            jordan_pencil,
-            dense_row_pencil,
-            ones_orthogonal_pencil,
-            *(unitary_pencil(n) for n in (5, 47, 228)),
-        ],
-    )
+    @pytest.mark.parametrize("family", GATE_FAMILIES)
     def test_rejects_exactly_above_the_limit(self, family):
         rejected = accepted = 0
         for kappa in self.kappas:
@@ -160,6 +167,19 @@ class TestResolventGate:
             assert err <= 1e-12 * cond
             accepted += 1
         assert rejected >= 10 and accepted >= 10
+
+    @pytest.mark.parametrize("family", GATE_FAMILIES)
+    def test_batch_rejects_what_its_points_reject(self, family):
+        # a batch raises for z = 1 exactly when z = 1 alone raises, and names it
+        for kappa in self.kappas:
+            s = pencil_system(family(kappa))
+            try:
+                alone = eval_transfer(s, [1.0])
+            except ResolventError:
+                with names_point_one():
+                    eval_transfer(s, BATCH)
+                continue
+            assert eval_transfer(s, BATCH)[1].tobytes() == alone.tobytes()
 
     def test_exactly_singular_point(self):
         s = pencil_system(np.diag([0.0, 0.5, 1.3]).astype(np.complex128))
@@ -180,6 +200,9 @@ class TestResolventGate:
             assert np.linalg.matrix_rank(np.eye(n) - s.a[0]) < n
             with pytest.raises(ResolventError, match="singular"):
                 eval_transfer(s, [1.0])
+            # in a batch the failing factorization is the singular point's alone
+            with names_point_one():
+                eval_transfer(s, BATCH)
 
     def test_non_finite_pencil(self):
         m = np.diag([0.5, 1.3]).astype(np.complex128)
@@ -192,6 +215,8 @@ class TestResolventGate:
         s = pencil_system(m)
         with pytest.raises(ResolventError, match="non-finite"):
             eval_transfer(s, [np.nan])
+        with pytest.raises(ResolventError, match=r"non-finite entries at z = \[\(nan"):
+            eval_transfer(s, [[0.5], [np.nan], [0.25]])
 
 
 class TestTaylorCoefficients:
@@ -287,36 +312,18 @@ class TestSeriesEvaluation:
         series = TruncatedOperatorSeries(
             n=2, degree=0, coefficients={(0, 0): [[1.0, 2.0], [3.0, 4.0]]}
         )
-        res = eval_series(series, [0.3, -0.7j])
-        np.testing.assert_allclose(res.value, [[1, 2], [3, 4]])
-        assert res.tail_error == 0.0
+        np.testing.assert_allclose(eval_series(series, [0.3, -0.7j]), [[1, 2], [3, 4]])
 
     def test_geometric_scalar_series(self):
         coeffs = {(m,): [[1.0]] for m in range(11)}
-        series = TruncatedOperatorSeries(
-            n=1, degree=10, coefficients=coeffs, tail=TailBound("geometric", 1.0, 1.0)
-        )
-        res = eval_series(series, [0.5])
-        np.testing.assert_allclose(res.value, [[2.0 - 2.0**-10]], atol=1e-15)
-        assert res.tail_error == pytest.approx(2.0**-10, rel=1e-12)
-
-    def test_outside_certified_radius_raises(self):
-        series = TruncatedOperatorSeries(
-            n=1, degree=1, coefficients={(1,): [[1.0]]}, tail=TailBound("geometric", 1.0, 1.0)
-        )
-        with pytest.raises(ValueError, match="radius"):
-            eval_series(series, [1.2])
+        series = TruncatedOperatorSeries(n=1, degree=10, coefficients=coeffs)
+        value = eval_series(series, [0.5])
+        np.testing.assert_allclose(value, [[2.0 - 2.0**-10]], atol=1e-15)
 
     def test_hyperbolic_series_matches_transfer(self):
         s, _ = hyperbolic_system()
         series = taylor_coefficients(s, 30)
-        res = eval_series(series, [0.5])
-        np.testing.assert_allclose(res.value, [[1.0]], atol=1e-6)
-        assert abs(res.value[0, 0] - 1.0) <= res.tail_error <= 2e-6
-
-    def test_negative_tail_error_rejected(self):
-        with pytest.raises(ValueError):
-            EvalResult(value=np.zeros((1, 1)), tail_error=-1.0)
+        np.testing.assert_allclose(eval_series(series, [0.5]), [[1.0]], atol=1e-6)
 
     def test_index_beyond_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):
