@@ -1,11 +1,11 @@
 """Dilation pipeline walkthrough on the two benchmark systems.
 
-Builds certified kernel decompositions of the hyperbolic benchmark at a
-ladder of truncation degrees and dilates each, showing that the exactly
-enforced stages (compression, coefficient conservativity) sit at
-roundoff while the transfer coincidence decays with the decomposition
-tail like radius^(degree + 1).  The matrix-unit benchmark then runs
-through the exact branch, where the dilation is a plain unitary system.
+Dilates the hyperbolic benchmark at a ladder of decomposition degrees,
+showing that the exactly enforced stages (compression, coefficient
+conservativity) sit at roundoff while the transfer coincidence decays
+with the decomposition tail like radius^(degree + 1).  The matrix-unit
+benchmark then runs through the exact branch, where the dilation is a
+plain unitary system.
 """
 
 import numpy as np
@@ -14,10 +14,8 @@ from kreinsys import (
     CanonicalSymmetry,
     MultiparametricSystem,
     build_dilation,
-    construct_pencil_decomposition,
     eval_transfer,
     jconservativity_defect,
-    system_operators,
 )
 
 
@@ -25,16 +23,14 @@ def hyperbolic_ladder():
     system = MultiparametricSystem(
         n=1, a=([[1.25]],), b=([[0.75]],), c=([[0.75]],), d=([[1.25]],)
     )
-    g = system_operators(system)
     print("hyperbolic benchmark: G = [[5/4, 3/4], [3/4, 5/4]], J = (-1)")
     print(f"{'degree':>6} {'eta':>10} {'state':>6} {'neg':>4} "
           f"{'lin-tf':>10} {'transfer':>10} {'conserv':>10}")
     for degree in (12, 16, 20, 24):
-        dec = construct_pencil_decomposition(g, 2.0, degree, radius=0.5)
-        res = build_dilation(system, dec, tol=1e-2, samples=100, seed=0)
+        res = build_dilation(system, degree, radius=0.5, tol=1e-2, samples=100, seed=0)
         d = res.defects
         print(
-            f"{degree:>6} {dec.eta:>10.2e} {res.alpha_tilde.state_dim:>6}"
+            f"{degree:>6} {res.decomposition.eta:>10.2e} {res.alpha_tilde.state_dim:>6}"
             f" {res.j.signature[1]:>4} {d['lin-tf']:>10.2e}"
             f" {d['transfer-coincidence']:>10.2e} {d['conservativity']:>10.2e}"
         )
@@ -51,10 +47,9 @@ def matrix_unit_exact():
         c=([[0.0]], [[0.0]]),
         d=([[0.0]], [[1.0]]),
     )
-    g = system_operators(system)
-    dec = construct_pencil_decomposition(g, 1.0, 4, radius=0.5)
-    res = build_dilation(system, dec, tol=1e-10, samples=100, seed=0)
-    print("matrix-unit benchmark at scale 1 (exact branch)")
+    res = build_dilation(system, 4, radius=0.5, tol=1e-10, samples=100, seed=0)
+    dec = res.decomposition
+    print("matrix-unit benchmark (exact branch)")
     print(f"decomposition exact = {dec.exact}, eta = {dec.eta}")
     print(
         f"dilated state dim {res.alpha_tilde.state_dim},"

@@ -35,15 +35,17 @@ r-polydisk is at most the stored, scale-free
 
     eta = r^(2(d+1)) [sum_k ||I/N - N G_k*G_k|| + sum_{j<k} (||G_j|| + ||G_k||)^2].
 
-The dilation reads a decomposition only through the per-component
-coefficient Grams C_k* J^(k) C_k, so minimal_factor replaces each F_k by
-the fewest rows that reproduce its Gram.
+The dilation reads a decomposition only through the coefficient Grams
+C_k* J^(k) C_k.  They are free of eps and r, and block diagonal with one
+block repeated at every degree (pencil_gram), so minimal_factor factors
+each block, from G alone, into the fewest rows that reproduce it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,6 +69,7 @@ __all__ = [
     "derived_zero_identities",
     "transform_identities",
     "prop2_functions",
+    "pencil_gram",
     "minimal_factor",
 ]
 
@@ -146,18 +149,8 @@ class AglerDecomposition:
 
     def component_row_ranges(self):
         """Row range of each component inside the stacked codomain."""
-        ranges = []
-        offset = 0
-        for c in self.components:
-            ranges.append((offset, offset + c.dim))
-            offset += c.dim
-        return ranges
-
-    def negative_row_mask(self) -> np.ndarray:
-        mask = np.zeros(self.codomain_dim, dtype=bool)
-        for (lo, hi), c in zip(self.component_row_ranges(), self.components):
-            mask[lo + c.m_plus : hi] = True
-        return mask
+        ends = list(accumulate(c.dim for c in self.components))
+        return [(end - c.dim, end) for c, end in zip(self.components, ends)]
 
     def evaluate(self, z) -> list:
         return [c.value(z) for c in self.components]
@@ -188,6 +181,20 @@ def _scaled_index(n: int, k: int, power: int) -> tuple:
     return tuple(power if i == k else 0 for i in range(n))
 
 
+def _eta(g: SystemOperatorTuple, degree: int, radius: float) -> float:
+    """The scale-free certificate eta(r, d) of the module docstring."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    if not 0 < radius < 1:
+        raise ValueError("radius must lie in (0, 1)")
+    n = g.n
+    eye = np.eye(g.operators[0].shape[1], dtype=np.complex128)
+    norms = [opnorm(gk) for gk in g.operators]
+    c1 = sum(opnorm(eye / n - n * gk.conj().T @ gk) for gk in g.operators)
+    c1 += sum((norms[j] + norms[k]) ** 2 for j in range(n) for k in range(j + 1, n))
+    return float(c1 * radius ** (2 * (degree + 1)))
+
+
 def _exact_branch_applies(g: SystemOperatorTuple) -> bool:
     q = g.operators[0].shape[1]
     sum_defect = opnorm(sum(gk.conj().T @ gk for gk in g.operators) - np.eye(q))
@@ -208,15 +215,11 @@ def construct_pencil_decomposition(
 ) -> AglerDecomposition:
     """Build the explicit certified decomposition of the pencil zG at scale
     ``epsilon``, by default (None) the least it accepts, max(1, N max_k ||G_k||)."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if not 0 < radius < 1:
-        raise ValueError("radius must lie in (0, 1)")
+    eta = _eta(g, degree, radius)
     n = g.n
     q = g.operators[0].shape[1]
     p = g.operators[0].shape[0]
-    norms = [opnorm(gk) for gk in g.operators]
-    feasible = max(1.0, n * max(norms))
+    feasible = max(1.0, n * max(opnorm(gk) for gk in g.operators))
     if epsilon is None:
         epsilon = feasible
     if epsilon < 1.0:
@@ -224,23 +227,11 @@ def construct_pencil_decomposition(
 
     if abs(epsilon - 1.0) <= 1e-14 and _exact_branch_applies(g):
         # constant decomposition: F_k = G_k closes the identity exactly
-        components = []
-        for k in range(n):
-            series = TruncatedOperatorSeries(
-                n=n, degree=0, coefficients={(0,) * n: g.operators[k]}
-            )
-            components.append(
-                DecompositionComponent(index=k, m_plus=p, m_minus=0, series=series)
-            )
-        return AglerDecomposition(
-            n=n,
-            epsilon=1.0,
-            components=tuple(components),
-            radius=radius,
-            degree=0,
-            eta=0.0,
-            exact=True,
+        components = tuple(
+            DecompositionComponent(k, p, 0, TruncatedOperatorSeries(n, 0, {(0,) * n: gk}))
+            for k, gk in enumerate(g.operators)
         )
+        return AglerDecomposition(n, 1.0, components, radius, degree=0, eta=0.0, exact=True)
 
     if epsilon < feasible - 1e-12:
         raise ValueError(
@@ -262,10 +253,6 @@ def construct_pencil_decomposition(
             ) from exc
 
     components = []
-    c1 = sum(opnorm(eye / n - n * gk.conj().T @ gk) for gk in g.operators)
-    c1 += sum((norms[j] + norms[k]) ** 2 for j in range(n) for k in range(j + 1, n))
-    eta = c1 * radius ** (2 * (degree + 1))
-
     for k in range(n):
         pairs = [(k, l) for l in range(k + 1, n)]
         m_plus = (degree + 1) * q + degree * p * len(pairs)
@@ -308,48 +295,81 @@ def construct_pencil_decomposition(
         components=tuple(components),
         radius=radius,
         degree=degree,
-        eta=float(eta),
+        eta=eta,
         exact=False,
     )
 
 
-def minimal_factor(dec: AglerDecomposition) -> tuple[AglerDecomposition, float]:
-    """The decomposition with each component cut to the rank of its Gram.
+def pencil_gram(g: SystemOperatorTuple) -> list:
+    """The degree step B_k of each component's coefficient Gram C_k* J^(k) C_k
+    in the explicit construction.
 
-    Component k stacks its nonzero coefficients side by side as C_k, so
-    every kernel term F_k(l)* J^(k) F_k(z) is a compression of the Gram
-    C_k* J^(k) C_k.  With the hermitian part of that Gram written as
-    W Lambda W*, and eigenvalues with |lambda| <= RANK_RTOL max|lambda|
-    dropped, the rows |Lambda|^(1/2) W* with J^(k) = sign(Lambda), positive
-    rows first, reproduce it with as many rows as it has nonzero
-    eigenvalues: the finite analogue of the minimal Pontryagin-space
-    factor of a kernel.  Returns the factored decomposition and ``factor``,
-    the worst spectral-norm mismatch between the explicit and the factored
-    Grams.
+    That Gram is free of eps and r, and block diagonal: I/N at key 0 and, for
+    each n = 1..d, B_k on the keys n e_k and (n-1) e_k + e_l for l > k (k
+    counted from 0).  B_k holds I/N - (k+1) G_k*G_k and the G_l*G_l on its
+    diagonal, and -G_k*G_l between n e_k and (n-1) e_k + e_l.
     """
-    q = dec.domain_dim
-    components = []
-    worst = 0.0
-    for c in dec.components:
-        keys = [t for t, m in c.series.coefficients.items() if np.any(m)]
-        keys = keys or list(c.series.coefficients)  # a zero component keeps no rows
-        stacked = np.hstack([c.coefficient(t) for t in keys])
-        gram = (stacked.conj().T * c.j.signs) @ stacked
-        lam, w = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-        keep = np.flatnonzero(np.abs(lam) > RANK_RTOL * np.max(np.abs(lam), initial=0.0))
-        keep = keep[np.argsort(lam[keep] < 0, kind="stable")]
-        signs = np.sign(lam[keep])
-        rows = np.sqrt(np.abs(lam[keep]))[:, None] * w[:, keep].conj().T
-        worst = max(worst, opnorm(gram - (rows.conj().T * signs) @ rows))
+    n, q = g.n, g.operators[0].shape[1]
+    steps = []
+    for k, gk in enumerate(g.operators):
+        step = np.zeros(((n - k) * q, (n - k) * q), dtype=np.complex128)
+        step[:q, :q] = np.eye(q) / n - (k + 1) * gk.conj().T @ gk
+        for i, gl in enumerate(g.operators[k + 1 :], start=1):
+            at = slice(i * q, (i + 1) * q)
+            step[at, at] = gl.conj().T @ gl
+            step[:q, at] = -gk.conj().T @ gl
+            step[at, :q] = -gl.conj().T @ gk
+        steps.append(step)
+    return steps
+
+
+def minimal_factor(
+    g: SystemOperatorTuple, degree: int, radius: float = 0.5
+) -> tuple[AglerDecomposition, float]:
+    """The fewest rows that reproduce every coefficient Gram of the pencil's
+    decomposition at ``degree`` (pencil_gram), or G_k*G_k at key 0 alone
+    (degree 0) when the exact branch applies.
+
+    Each diagonal block, written as W Lambda W*, gives the rows |Lambda|^(1/2) W*
+    with J^(k) = sign(Lambda), eigenvalues below the RANK_RTOL cut of the whole
+    Gram dropped: the finite analogue of the minimal Pontryagin-space factor of
+    a kernel.  The Grams are scale-free, so the factor carries eps = 1 and the
+    explicit eta.  Returns it and ``factor``, the worst mismatch of a block.
+    """
+    n, q = g.n, g.operators[0].shape[1]
+    eta = _eta(g, degree, radius)
+    exact = _exact_branch_applies(g)
+    if exact:
+        degree, eta = 0, 0.0
+        heads, steps = [gk.conj().T @ gk for gk in g.operators], [np.zeros((q, q))] * n
+    else:
+        heads, steps = [np.eye(q) / n] * n, pencil_gram(g)
+    components, worst = [], 0.0
+    for k, grams in enumerate(zip(heads, steps)):
+        eig = [np.linalg.eigh(0.5 * (m + m.conj().T)) for m in grams]
+        cut = RANK_RTOL * max(np.max(np.abs(lam), initial=0.0) for lam, _ in eig)
+        parts = []
+        for m, (lam, w) in zip(grams, eig):
+            keep = np.abs(lam) > cut
+            rows = np.sqrt(np.abs(lam[keep]))[:, None] * w[:, keep].conj().T
+            worst = max(worst, float(opnorm(m - (rows.conj().T * np.sign(lam[keep])) @ rows)))
+            parts.append((rows, np.sign(lam[keep])))
+        (head, head_signs), (step, step_signs) = parts
+        rows = np.zeros((len(head) + degree * len(step), q + degree * step.shape[1]), np.complex128)
+        rows[: len(head), :q] = head
+        rows[len(head) :, q:] = np.kron(np.eye(degree), step)
+        signs = np.concatenate([head_signs, np.tile(step_signs, degree)])
+        rows = rows[np.argsort(signs < 0, kind="stable")]  # positive rows first
+        # key 0, then the step from degree p to p + 1 on the keys p e_k + e_l, l >= k
+        keys = [(0,) * n]
+        for below in (_scaled_index(n, k, power) for power in range(degree)):
+            keys += [tuple(b + (i == l) for i, b in enumerate(below)) for l in range(k, n)]
         coeffs = {t: rows[:, i * q : (i + 1) * q] for i, t in enumerate(keys)}
-        series = TruncatedOperatorSeries(n=dec.n, degree=c.series.degree, coefficients=coeffs)
+        series = TruncatedOperatorSeries(n=n, degree=degree, coefficients=coeffs)
         m_plus = int(np.sum(signs > 0))
-        components.append(
-            DecompositionComponent(
-                index=c.index, m_plus=m_plus, m_minus=signs.size - m_plus, series=series
-            )
-        )
-    return replace(dec, components=tuple(components)), float(worst)
+        components.append(DecompositionComponent(k, m_plus, signs.size - m_plus, series))
+    fields = dict(n=n, epsilon=1.0, radius=radius, degree=degree, eta=eta, exact=exact)
+    return AglerDecomposition(components=tuple(components), **fields), worst
 
 
 def _adj(x: np.ndarray) -> np.ndarray:
@@ -373,11 +393,12 @@ def _check_pairs(dec: AglerDecomposition, pairs):
     except ValueError:
         raise ValueError(f"pair points must lie in C^{dec.n}") from None
     reach = np.maximum(np.max(np.abs(lams), axis=1), np.max(np.abs(zs), axis=1))
-    outside = np.flatnonzero(reach > dec.radius + 1e-12)
+    outside = np.flatnonzero(~(reach <= dec.radius + 1e-12))  # NaN is outside too
     if outside.size:
         i = outside[0]
         raise ValueError(
-            f"pair ({lams[i].tolist()}, {zs[i].tolist()}) outside certified radius {dec.radius}"
+            f"pair ({lams[i].tolist()}, {zs[i].tolist()}) is not finite or lies "
+            f"outside certified radius {dec.radius}"
         )
     return lams, zs
 

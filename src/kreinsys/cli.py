@@ -227,17 +227,16 @@ def cmd_decompose(args) -> int:
 def cmd_dilate(args) -> int:
     system, _, _ = _load_system(args.bundle)
     say = _printer(args)
-    g = system_operators(system)
-    dec = construct_pencil_decomposition(g, args.epsilon, args.degree, radius=args.radius)
-    result = build_dilation(system, dec, tol=_abort_tol(args), samples=args.samples, seed=args.seed)
+    result = build_dilation(
+        system, args.degree, args.radius, _abort_tol(args), args.samples, args.seed
+    )
     say(
         f"dilated state dim {result.alpha_tilde.state_dim}"
         f" (from {system.state_dim}), symmetry signature {result.j.signature}"
     )
     report = {
         "command": "dilate",
-        "epsilon": dec.epsilon,
-        "decomposition_degree": dec.degree,
+        "decomposition_degree": result.decomposition.degree,
         "state_dim": result.alpha_tilde.state_dim,
         "original_state_dim": system.state_dim,
         "signature": list(result.j.signature),
@@ -261,7 +260,6 @@ def cmd_realize(args) -> int:
         d=args.degree,
         tol=_abort_tol(args),
         radius=args.radius,
-        epsilon=args.epsilon,
         samples=args.samples,
         seed=args.seed,
     )
@@ -474,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dilate", help="conservative dilation pipeline")
     p.add_argument("bundle", help="system bundle (JSON)")
-    p.add_argument("--epsilon", type=float, help="scale (default max(1, N max ||G_k||))")
     p.add_argument(
         "--degree", type=_int_at_least(1), default=20, help="decomposition degree (default 20)"
     )
@@ -492,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(1),
         help="input truncation degree (default: series degree)",
     )
-    p.add_argument("--epsilon", type=float, help="scale (default max(1, N max ||G_k||))")
     p.add_argument(
         "--radius", type=_unit_radius, default=0.5, help="certified radius (default 0.5)"
     )

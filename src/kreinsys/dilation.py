@@ -1,6 +1,7 @@
 """Conservative dilations built from certified pencil kernel decompositions.
 
-Given a system alpha with operator tuple G and a decomposition F certifying
+Given a system alpha with operator tuple G and the decomposition F of
+agler certifying
 
     I - (sum_k conj(l_k) G_k*)(sum_k z_k G_k)
         = sum_k (1 - conj(l_k) z_k) F_k(l)* J^(k) F_k(z)
@@ -11,8 +12,9 @@ coincides with alpha's, and which is itself conservative for a canonical
 symmetry read off from the decomposition signs.
 
 The construction is coefficient-exact.  It reads F only through the
-per-component coefficient Grams, so it first cuts F to its minimal factor
-(agler.minimal_factor), whose row count is the rank of those Grams.
+per-component coefficient Grams, which depend on G and the degree alone,
+so it builds F as their minimal factor (agler.minimal_factor), whose row
+count is the rank of those Grams; no scale eps enters.
 Write M for the stacked row space of that F with symmetry J_M, q = dX + dU
 for the column count, and F_hat_t for the degree-t coefficient of the
 stacked F.  Three facts carry the build:
@@ -32,8 +34,8 @@ stacked F.  Three facts carry the build:
   and whose transfer function is the linear map zG through degree d
   exactly; repartitioning the state as K_0 (+) X gives alpha-tilde.
 
-For a decomposition flagged exact the identities above hold at every
-degree and the dilation is exact up to roundoff.
+When the exact branch applies (F_k = G_k, see agler) the identities above
+hold at every degree and the dilation is exact up to roundoff.
 """
 
 from dataclasses import dataclass
@@ -105,9 +107,6 @@ class _Assembly:
                 "pad the narrow channel with zero columns first (pad_io)"
             )
         q = g.state_dim + g.input_dim
-        if dec.domain_dim != q or dec.n != g.n:
-            raise ValueError("decomposition does not match the operator tuple")
-        self.dec = dec
         self.g = g
         self.q = q
         self.n = g.n
@@ -123,30 +122,23 @@ class _Assembly:
         self.phi0, self.j0 = regularize_subspace(j_companion_basis(self.f0, self.j_m), self.j_m)
         self.k0_dim = self.phi0.shape[1]
 
-        # stacked coefficients of F at each multi-index, plus slot offsets
+        # stacked nonzero coefficients of F at the keys it carries, plus slot offsets
         self.row_ranges = dec.component_row_ranges()
-        self.coeff = {}
-        for t in self._indices(0, dec.degree):
-            m = dec.stacked_coefficient(t)
-            if np.any(m):
-                self.coeff[t] = m
+        keys = dict.fromkeys(t for c in dec.components for t in c.series.coefficients)
+        self.coeff = {t: m for t in keys if np.any(m := dec.stacked_coefficient(t))}
 
-        self.match_degree = dec.degree + 1 if dec.exact else max(dec.degree, 1)
+        # the exact branch has degree 0 and matches its degree-1 columns
         dom_cols, ran_cols, recon = [], [], [0.0]
-        for t in self._indices(1, self.match_degree):
+        for t in self._indices(1, max(dec.degree, 1)):
             dom = self._domain_column(t)
             if dom is None:
                 continue
             dom_cols.append(dom)
             ran_cols.append(self._range_column(t, recon))
         self.dom_raw = np.hstack(dom_cols) if dom_cols else np.zeros((self.m_dim, 0))
-        self.ran_raw = (
-            np.hstack(ran_cols) if ran_cols else np.zeros((self.k0_dim + q, 0))
-        )
+        self.ran_raw = np.hstack(ran_cols) if ran_cols else np.zeros((self.k0_dim + q, 0))
         self.semiunitarity = max(self.semiunitarity, recon[0])
-        self.j_ran = CanonicalSymmetry.direct_sum(
-            self.j0, CanonicalSymmetry.identity(q)
-        )
+        self.j_ran = CanonicalSymmetry.direct_sum(self.j0, CanonicalSymmetry.identity(q))
 
     def _indices(self, lo, hi):
         for level in range(lo, hi + 1):
@@ -155,20 +147,12 @@ class _Assembly:
     def _domain_column(self, t):
         """Degree-t coefficient of zP F(z): slot k holds F_hat^(k)_{t - e_k}."""
         col = np.zeros((self.m_dim, self.q), dtype=np.complex128)
-        hit = False
         for k in range(self.n):
-            if t[k] == 0:
-                continue
-            s = t[:k] + (t[k] - 1,) + t[k + 1 :]
-            m = self.coeff.get(s)
-            if m is None:
-                continue
-            lo, hi = self.row_ranges[k]
-            block = m[lo:hi]
-            if np.any(block):
-                col[lo:hi] = block
-                hit = True
-        return col if hit else None
+            m = self.coeff.get(t[:k] + (t[k] - 1,) + t[k + 1 :]) if t[k] else None
+            if m is not None:
+                lo, hi = self.row_ranges[k]
+                col[lo:hi] = m[lo:hi]
+        return col if np.any(col) else None
 
     def _k0_coords(self, vec, recon):
         """Coordinates in the Phi_0 basis, via xi = J_0 Phi_0* J_M vec."""
@@ -285,28 +269,30 @@ def _gate(defects, name, tol):
 
 def build_dilation(
     alpha: MultiparametricSystem,
-    dec: AglerDecomposition,
+    degree: int,
+    radius: float = 0.5,
     tol: float = 1e-6,
     samples: int = 100,
     seed: int = 0,
 ) -> DilationResult:
-    """Assemble a conservative dilation of alpha from a certified decomposition.
+    """Assemble a conservative dilation of alpha from its pencil's decomposition
+    at ``degree``, certified on the polydisk of ``radius``.
 
     The result's state is K_0 (+) X carrying J_0 (+) I_X, its corner
     compressions reproduce alpha exactly, and its transfer function
-    agrees with alpha's on the decomposition's polydisk within the reported
-    defects.  Every named defect must come in below ``tol`` or the build
-    fails naming the stage; signature obstructions in the extension step
-    raise SignatureMismatchError with the required paddings.
+    agrees with alpha's on the polydisk within the reported defects.
+    Every named defect must come in below ``tol`` or the build fails
+    naming the stage; signature obstructions in the extension step raise
+    SignatureMismatchError with the required paddings.
 
-    The assembly runs on the minimal factor of ``dec``, which agrees with
-    it in every coefficient Gram; ``dec`` itself stays the certified
-    source.  The result's ``decomposition`` is that factor, the coordinates
-    of ``u_matrix`` and ``k0_basis``, and the ``factor`` defect is its Gram
-    mismatch.
+    The assembly runs on agler.minimal_factor, which reproduces every
+    coefficient Gram of the explicit decomposition (at any scale) from G
+    and the degree alone.  The result's ``decomposition`` is that factor,
+    the coordinates of ``u_matrix`` and ``k0_basis``, and the ``factor``
+    defect is its Gram mismatch.
     """
     g = system_operators(alpha)
-    dec, factor = minimal_factor(dec)
+    dec, factor = minimal_factor(g, degree, radius)
     defects = {"factor": factor}
     _gate(defects, "factor", tol)
 

@@ -15,10 +15,9 @@ from math import factorial
 
 import numpy as np
 
-from .agler import construct_pencil_decomposition
 from .dilation import DilationResult, build_dilation
 from .krein import CanonicalSymmetry, opnorm
-from .systems import MultiparametricSystem, pad_io, system_operators
+from .systems import MultiparametricSystem, pad_io
 from .transfer import (
     TruncatedOperatorSeries,
     eval_series,
@@ -43,7 +42,7 @@ def _word_normalization(t):
 
 
 def shift_register_realization(
-    theta: TruncatedOperatorSeries, d: int | None = None, allow_large_degree: bool = False
+    theta: TruncatedOperatorSeries, d: int | None = None
 ) -> MultiparametricSystem:
     """Realize a series vanishing at 0 exactly through degree ``d``.
 
@@ -71,10 +70,10 @@ def shift_register_realization(
                 f"series has a nonzero coefficient at {t} beyond degree {d}; "
                 "raise the realization degree instead of truncating silently"
             )
-    if n >= 3 and d > MAX_DEFAULT_REGISTER_DEGREE and not allow_large_degree:
+    if n >= 3 and d > MAX_DEFAULT_REGISTER_DEGREE:
         raise ValueError(
             f"degree {d} with {n} directions exceeds the register cap "
-            f"{MAX_DEFAULT_REGISTER_DEGREE}; pass allow_large_degree=True to override"
+            f"{MAX_DEFAULT_REGISTER_DEGREE}"
         )
 
     registers = [t for level in range(1, d) for t in multi_indices(n, level)]
@@ -130,25 +129,22 @@ def jconservative_realization(
     d: int | None = None,
     tol: float = 1e-6,
     radius: float = 0.5,
-    epsilon: float | None = None,
     samples: int = 100,
     seed: int = 0,
 ) -> RealizationResult:
     """Realize a series as the corner transfer of a conservative system.
 
-    Composes the shift-register realization, channel padding, the certified
-    decomposition at degree D = max(20, d + 4) (the realized transfer tail
-    decays like radius^(D + 1)), and the dilation build.  The
-    result's Taylor coefficients reproduce the input through degree ``d``
-    exactly up to roundoff, and its values match the truncated series on
-    the certified polydisk within the reported sample residual.
+    Composes the shift-register realization, channel padding and the
+    dilation build at decomposition degree D = max(20, d + 4) (the realized
+    transfer tail decays like radius^(D + 1)).  The result's Taylor
+    coefficients reproduce the input through degree ``d`` exactly up to
+    roundoff, and its values match the truncated series on the certified
+    polydisk within the reported sample residual.
     """
     if d is None:
         d = theta.degree
     padded = pad_io(shift_register_realization(theta, d))
-    g = system_operators(padded)
-    dec = construct_pencil_decomposition(g, epsilon, max(20, d + 4), radius=radius)
-    dil = build_dilation(padded, dec, tol=tol, samples=samples, seed=seed)
+    dil = build_dilation(padded, max(20, d + 4), radius, tol=tol, samples=samples, seed=seed)
 
     dy, du = theta.shape
     m = max(du, dy)

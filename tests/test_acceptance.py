@@ -149,9 +149,7 @@ def test_criterion_5_dilation_pipeline():
     checks = []
 
     system, _ = hyperbolic_system()
-    g = system_operators(system)
-    dec = construct_pencil_decomposition(g, 2.0, 24, radius=0.5)
-    res = build_dilation(system, dec, tol=1e-6, samples=100, seed=5)
+    res = build_dilation(system, 24, radius=0.5, tol=1e-6, samples=100, seed=5)
     checks.append(("hyperbolic all defects", res.max_defect(), 1e-6))
     checks.append(("hyperbolic compression", res.defects["compression"], 1e-12))
     checks.append(("hyperbolic transfer (100 samples)", res.defects["transfer-coincidence"], 1e-6))
@@ -168,9 +166,7 @@ def test_criterion_5_dilation_pipeline():
     )
 
     system, _ = matrix_unit_system()
-    g = system_operators(system)
-    dec = construct_pencil_decomposition(g, 1.0, 4, radius=0.5)
-    res = build_dilation(system, dec, tol=1e-10, samples=100, seed=5)
+    res = build_dilation(system, 4, radius=0.5, tol=1e-10, samples=100, seed=5)
     checks.append(("matrix-unit all defects", res.max_defect(), 1e-6))
     checks.append(("matrix-unit compression", res.defects["compression"], 1e-12))
     checks.append(

@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from kreinsys.agler import (
     AglerDecomposition,
     DecompositionComponent,
+    _exact_branch_applies,
     construct_pencil_decomposition,
     derived_zero_identities,
     epsilon_bounds,
     kernel_residual,
     minimal_factor,
+    pencil_gram,
     prop2_functions,
     transform_identities,
     verify_kernel_identity,
 )
 from kreinsys.krein import CanonicalSymmetry
-from kreinsys.systems import random_jconservative, system_operators
+from kreinsys.systems import SystemOperatorTuple, random_jconservative, system_operators
 from kreinsys.transfer import TruncatedOperatorSeries, multi_indices
 
 from oracles import kernel_sum
@@ -155,9 +158,7 @@ class TestKernelIdentity:
         # the packaged verifier must agree with an independent sum
         g = matrix_unit_ops()
         dec = construct_pencil_decomposition(g, 2.0, 5)
-        mask_full = dec.negative_row_mask()
-        ranges = dec.component_row_ranges()
-        masks = [mask_full[lo:hi] for lo, hi in ranges]
+        masks = [np.arange(c.dim) >= c.m_plus for c in dec.components]
         for lam, z in polydisk_pairs(2, 0.5, 20, 4):
             fl = dec.evaluate(lam)
             fz = dec.evaluate(z)
@@ -204,6 +205,20 @@ class TestKernelIdentity:
         dec = construct_pencil_decomposition(g, 2.0, 4)
         with pytest.raises(ValueError, match="radius"):
             verify_kernel_identity(g, dec, [(np.array([0.7]), np.array([0.1]))])
+
+    def test_nan_pair_rejected(self):
+        # NaN compares false with the radius, so it must be rejected by name
+        s, _ = random_jconservative(2, 3, 2, seed=0, j=CanonicalSymmetry.from_signs([1, 1, -1]))
+        g = system_operators(s)
+        dec = construct_pencil_decomposition(g, None, 12)
+        pair = (np.array([np.nan, 0.1]), np.array([0.1, 0.2]))
+        named = r"pair \(\[\(?nan.*\[\(?0\.1.*not finite or lies outside certified radius 0\.5"
+        with pytest.raises(ValueError, match=named):
+            verify_kernel_identity(g, dec, [pair], enforce=True)
+        with pytest.raises(ValueError, match=named):
+            transform_identities(dec, g, [pair])
+        with pytest.raises(ValueError, match=named):
+            prop2_functions(s, dec, [pair])
 
     def test_enforce_flags_corruption(self):
         g = matrix_unit_ops()
@@ -382,45 +397,62 @@ def stacked_rows(component, keys):
     return np.hstack([component.coefficient(t) for t in keys])
 
 
-@st.composite
-def factor_cases(draw):
-    n = draw(st.integers(1, 3))
-    exact = draw(st.booleans())
+def closed_form_gram(g, k, degree):
+    """Component k's closed-form Gram at ``degree``, with its keys: I/N at key 0
+    and, from each degree p to p + 1, the step B_k on the keys p e_k + e_l, l >= k."""
+    keys = [(0,) * g.n]
+    for p in range(degree):
+        keys += [tuple(p * (i == k) + (i == l) for i in range(g.n)) for l in range(k, g.n)]
+    q = g.operators[0].shape[1]
+    return keys, block_diag(np.eye(q) / g.n, *[pencil_gram(g)[k]] * degree)
+
+
+def conservative_ops(draw, n_range=(1, 3), degree_range=(1, 6)):
+    """Operators of a random conservative system, all signs positive or drawn."""
+    n = draw(st.integers(*n_range))
+    definite = draw(st.booleans())
     state_dim = draw(st.integers(0, 3))
     input_dim = draw(st.integers(max(1, n - state_dim), 3))
-    signs = [1.0] * state_dim if exact else draw(
+    signs = [1.0] * state_dim if definite else draw(
         st.lists(st.sampled_from([1.0, -1.0]), min_size=state_dim, max_size=state_dim)
     )
     seed = draw(st.integers(0, 10_000))
     system, _ = random_jconservative(
         n, state_dim, input_dim, seed=seed, j=CanonicalSymmetry.from_signs(signs)
     )
-    g = system_operators(system)
-    degree = draw(st.integers(1, 6))
-    if exact:
-        dec = construct_pencil_decomposition(g, 1.0, degree)
-        assert dec.exact
-    else:
-        dec = upper_scale_dec(g, degree)
-    return dec, seed
+    return system_operators(system), draw(st.integers(*degree_range)), seed
+
+
+@st.composite
+def factor_cases(draw):
+    g, degree, seed = conservative_ops(draw)
+    # the explicit decomposition that takes the same branch as the factor
+    dec = construct_pencil_decomposition(g, 1.0 if _exact_branch_applies(g) else None, degree)
+    return g, degree, dec, seed
+
+
+@st.composite
+def gram_cases(draw):
+    g, degree, _ = conservative_ops(draw)
+    epsilon = draw(st.sampled_from([None, 8.0, 50.0]))
+    return g, construct_pencil_decomposition(g, epsilon, degree)
 
 
 class TestMinimalFactor:
     @settings(max_examples=60, deadline=None)
     @given(factor_cases())
     def test_factor_reproduces_every_gram(self, case):
-        dec, seed = case
-        small, factor = minimal_factor(dec)
+        g, degree, dec, seed = case
+        small, factor = minimal_factor(g, degree, dec.radius)
+        assert (small.exact, small.degree, small.eta) == (dec.exact, dec.degree, dec.eta)
         keys = [t for lev in range(dec.degree + 1) for t in multi_indices(dec.n, lev)]
         pairs = polydisk_pairs(dec.n, dec.radius, 5, seed)
         mismatch = 0.0
-        for big, cut in zip(dec.components, small.components):
+        for k, (big, cut) in enumerate(zip(dec.components, small.components, strict=True)):
             c_big, c_cut = stacked_rows(big, keys), stacked_rows(cut, keys)
             gram = c_big.conj().T @ big.j.matrix @ c_big
             tol = 1e-12 * max(1.0, np.linalg.norm(c_big, 2) ** 2)
-            diff = np.linalg.norm(gram - c_cut.conj().T @ cut.j.matrix @ c_cut, 2)
-            assert diff <= tol
-            mismatch = max(mismatch, diff)
+            assert np.linalg.norm(gram - c_cut.conj().T @ cut.j.matrix @ c_cut, 2) <= tol
             for lam, z in pairs:
                 lhs = big.value(lam).conj().T @ big.j.matrix @ big.value(z)
                 rhs = cut.value(lam).conj().T @ cut.j.matrix @ cut.value(z)
@@ -430,32 +462,68 @@ class TestMinimalFactor:
             # a product Gram carries roundoff of order eps ||C_k||^2
             w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
             assert (cut.m_plus, cut.m_minus) == (np.sum(w > tol), np.sum(w < -tol))
+            # ``factor`` is the mismatch against the closed-form Gram
+            if small.exact:
+                cf_keys, cf_gram = [(0,) * g.n], g.operators[k].conj().T @ g.operators[k]
+            else:
+                cf_keys, cf_gram = closed_form_gram(g, k, degree)
+            c_cf = stacked_rows(cut, cf_keys)
+            cf_diff = np.linalg.norm(cf_gram - c_cf.conj().T @ cut.j.matrix @ c_cf, 2)
+            mismatch = max(mismatch, cf_diff)
         assert factor == pytest.approx(mismatch, abs=1e-14 * max(1.0, mismatch))
 
+    @settings(max_examples=30, deadline=None)
+    @given(gram_cases())
+    def test_closed_form_gram_equals_explicit(self, case):
+        g, dec = case
+        if dec.exact:  # scale 1 on an exact pencil: no explicit rows to compare
+            return
+        for k, comp in enumerate(dec.components):
+            keys, gram = closed_form_gram(g, k, dec.degree)
+            nonzero = {t for t, m in comp.series.coefficients.items() if np.any(m)}
+            assert nonzero <= set(keys)
+            c = stacked_rows(comp, keys)
+            tol = 1e-13 * max(1.0, np.linalg.norm(c, 2) ** 2)
+            assert np.linalg.norm(c.conj().T @ comp.j.matrix @ c - gram, 2) <= tol
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_exact_branch_chosen_exactly_when_it_applies(self, data):
+        g, degree, _ = conservative_ops(data.draw, degree_range=(1, 3))
+        if data.draw(st.booleans()):  # a small push off the conservative pencil
+            pushed = (1.0 + 1e-9 * data.draw(st.integers(1, 100))) * g.operators[0]
+            g = SystemOperatorTuple(
+                (pushed, *g.operators[1:]), g.state_dim, g.input_dim, g.output_dim
+            )
+        small, _ = minimal_factor(g, degree)
+        assert small.exact == _exact_branch_applies(g)
+        if small.exact:
+            assert (small.degree, small.eta, small.signature[1]) == (0, 0.0, 0)
+            for gk, comp in zip(g.operators, small.components, strict=True):
+                f0 = comp.coefficient((0,) * g.n)
+                np.testing.assert_allclose(f0.conj().T @ f0, gk.conj().T @ gk, atol=1e-14)
+        else:
+            assert small.degree == degree and small.eta > 0
+
     def test_factor_measures_dropped_eigenvalue(self):
-        # a direction whose Gram eigenvalue (1e-12) sits below the rank cut
-        # is dropped, and the defect reports exactly what was lost
-        series = TruncatedOperatorSeries(
-            n=1, degree=1, coefficients={(0,): np.diag([1.0, 1e-6]), (1,): np.zeros((2, 2))}
-        )
-        comp = DecompositionComponent(index=0, m_plus=2, m_minus=0, series=series)
-        dec = AglerDecomposition(
-            n=1, epsilon=1.0, components=(comp,), radius=0.5, degree=1, eta=0.0
-        )
-        small, factor = minimal_factor(dec)
-        assert small.components[0].dim == 1
+        # an exact pencil whose first Gram G_1*G_1 = diag(1, 1e-12) has an
+        # eigenvalue below the rank cut: it is dropped, and the defect reports
+        # exactly what was lost
+        g1 = np.array([[1.0, 0.0], [0.0, 1e-6], [0.0, 0.0]])
+        g2 = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, np.sqrt(1.0 - 1e-12)]])
+        small, factor = minimal_factor(SystemOperatorTuple((g1, g2), 1, 1, 2), 1)
+        assert small.exact
+        assert [c.dim for c in small.components] == [1, 1]
         assert factor == pytest.approx(1e-12, rel=1e-6)
-        np.testing.assert_allclose(small.f0().conj().T @ small.f0(), np.diag([1.0, 0.0]))
+        f1 = small.components[0].coefficient((0, 0))
+        np.testing.assert_allclose(f1.conj().T @ f1, np.diag([1.0, 0.0]))
 
     def test_zero_component_keeps_no_rows(self):
         # G_2 = 0 with a unitary G_1 takes the exact branch, and F_2 = 0
-        from kreinsys.systems import SystemOperatorTuple
-
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         g = SystemOperatorTuple((swap, np.zeros((2, 2))), 1, 1, 1)
-        dec = construct_pencil_decomposition(g, 1.0, 3)
-        small, factor = minimal_factor(dec)
-        assert dec.exact
+        small, factor = minimal_factor(g, 3)
+        assert small.exact
         assert [c.dim for c in small.components] == [2, 0]
         assert factor == 0.0
         np.testing.assert_allclose(small.f0().conj().T @ small.f0(), np.eye(2), atol=1e-15)

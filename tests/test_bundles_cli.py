@@ -102,9 +102,7 @@ class TestBundleRoundTrips:
 
     def test_dilation_round_trip(self):
         system, _ = matrix_unit_system()
-        g = system_operators(system)
-        dec = construct_pencil_decomposition(g, 1.0, 4, radius=0.5)
-        result = build_dilation(system, dec, tol=1e-8)
+        result = build_dilation(system, 4, tol=1e-8)
         data = bundles.dilation_to_bundle(result, original=system)
         back_sys, back_j, defects = bundles.dilation_from_bundle(data)
         assert back_sys.state_dim == result.alpha_tilde.state_dim
@@ -116,9 +114,8 @@ class TestBundleRoundTrips:
     def test_dilation_bundle_with_k2_dim_loads(self, tmp_path):
         # older writers stored an always-zero k2_dim field
         system, _ = matrix_unit_system()
-        dec = construct_pencil_decomposition(system_operators(system), 1.0, 4, radius=0.5)
         path = tmp_path / "dil.json"
-        bundles.save_bundle(bundles.dilation_to_bundle(build_dilation(system, dec)), path)
+        bundles.save_bundle(bundles.dilation_to_bundle(build_dilation(system, 4)), path)
         data = bundles.load_bundle(path, bundles.DILATION_FORMAT)
         bundles.save_bundle(dict(data, k2_dim=0), tmp_path / "old.json")
         old = bundles.load_bundle(tmp_path / "old.json", bundles.DILATION_FORMAT)
@@ -292,8 +289,7 @@ def bundle_of_each_kind(kind: str) -> dict:
         dec = construct_pencil_decomposition(system_operators(system), 2.0, 8, radius=0.5)
         return bundles.decomposition_to_bundle(dec)
     system, _ = matrix_unit_system()
-    dec = construct_pencil_decomposition(system_operators(system), 1.0, 4, radius=0.5)
-    return bundles.dilation_to_bundle(build_dilation(system, dec, tol=1e-8), original=system)
+    return bundles.dilation_to_bundle(build_dilation(system, 4, tol=1e-8), original=system)
 
 
 class TestCanonicalWriter:
@@ -556,8 +552,6 @@ class TestCliCommands:
             [
                 "dilate",
                 unit_bundle,
-                "--epsilon",
-                "1",
                 "--degree",
                 "4",
                 "--tol",
@@ -700,7 +694,7 @@ class TestCliCommands:
         self, command, unit_bundle, tmp_path, capsys
     ):
         dil_path = str(tmp_path / "dil.json")
-        dilate = ["dilate", unit_bundle, "--epsilon", "1", "--degree", "4", "--tol", "1e-10"]
+        dilate = ["dilate", unit_bundle, "--degree", "4", "--tol", "1e-10"]
         series_path = tmp_path / "lin.json"
         coefficients = {(1, 0): [[0.5]], (0, 1): [[0.3]]}
         series = TruncatedOperatorSeries(n=2, degree=1, coefficients=coefficients)
@@ -767,10 +761,12 @@ class TestCliContract:
             for value in ("5", "0", "-3")
         ]
         + [["transfer", "--seed", "3"], ["transfer", "--stage-tol", "x=1"]]
-        + [["transfer", "--degree", "2", "--tol", "1e-300"]],
+        + [["transfer", "--degree", "2", "--tol", "1e-300"]]
+        + [[cmd, "--epsilon", "2"] for cmd in ("dilate", "realize")],
     )
     def test_removed_flags_exit_two(self, argv, unit_bundle, tmp_path, capsys):
-        # simulate, transfer and gen never sample; transfer judges no residual
+        # simulate, transfer and gen never sample; transfer judges no residual;
+        # the dilation is built from G and the degree alone, with no scale
         cmd, rest = argv[0], argv[1:]
         positional = ["--out", str(tmp_path / "gen.json")] if cmd == "gen" else [unit_bundle]
         assert main([cmd, *positional, *rest]) == 2
@@ -810,10 +806,10 @@ class TestCliContract:
         assert main(["realize", str(path)]) == 2
         assert "'coefficients' has a non-finite entry" in capsys.readouterr().err
 
-    def test_non_finite_dilation_bundle_exits_two(self, unit_bundle, tmp_path, capsys):
+    def test_non_finite_dilation_bundle_exits_two(self, hyp_bundle, tmp_path, capsys):
         dil_path = tmp_path / "dil.json"
-        # scale 2 leaves the exact branch, so the dilated state has room for the swap
-        args = ["dilate", unit_bundle, "--epsilon", "2", "--degree", "6", "--tol", "1e-2"]
+        # a pencil off the exact branch, so the dilated state has room for the swap
+        args = ["dilate", hyp_bundle, "--degree", "8", "--tol", "1e-2"]
         assert main(args + ["--out", str(dil_path)]) == 0
         capsys.readouterr()
         good = json.loads(dil_path.read_text())
@@ -830,7 +826,7 @@ class TestCliContract:
             ("j", ["system", "j"], bundles.matrix_to_json(half), "is not a signature matrix"),
         ]:
             dil_path.write_text(json.dumps(poisoned(good, path, value)))
-            assert main(["verify-dilation", unit_bundle, str(dil_path)]) == 2
+            assert main(["verify-dilation", hyp_bundle, str(dil_path)]) == 2
             assert f"'{field}' {message}" in capsys.readouterr().err
 
     def test_non_finite_decomposition_bundle_rejected(self):
@@ -877,14 +873,14 @@ class TestCliContract:
             bundles.series_to_bundle(TruncatedOperatorSeries(2, 1, coefficients)), series
         )
         dil = str(tmp_path / "dil.json")
-        exact = ["--epsilon", "1", "--degree", "4"]
         runs = [
             ["gen", "--n", "2", "--state-dim", "3", "--input-dim", "2", "--out", str(tmp_path / "g.json")],
             ["check", hyp_bundle],
             ["simulate", hyp_bundle, "--input", "random"],
             ["transfer", hyp_bundle, "--at", "0.5"],
-            ["decompose", unit_bundle, *exact, "--tol", "1e-12", "--out", str(tmp_path / "dec.json")],
-            ["dilate", unit_bundle, *exact, "--tol", "1e-10", "--out", dil],
+            ["decompose", unit_bundle, "--epsilon", "1", "--degree", "4", "--tol", "1e-12",
+             "--out", str(tmp_path / "dec.json")],
+            ["dilate", unit_bundle, "--degree", "4", "--tol", "1e-10", "--out", dil],
             ["verify-dilation", unit_bundle, dil, "--tol", "1e-10"],
             ["realize", str(series), "--tol", "1e-4", "--out", str(tmp_path / "real.json")],
         ]
@@ -909,10 +905,10 @@ class TestCliContract:
 
     def test_unwritable_out_exits_two(self, unit_bundle, tmp_path, capsys):
         (tmp_path / "a_dir").mkdir()
-        exact = ["--epsilon", "1", "--degree", "4", "--tol", "1e-10"]
+        exact = ["--degree", "4", "--tol", "1e-10"]
         commands = [
             ["gen", "--n", "1", "--state-dim", "2", "--input-dim", "1"],
-            ["decompose", unit_bundle, *exact],
+            ["decompose", unit_bundle, "--epsilon", "1", *exact],
             ["dilate", unit_bundle, *exact],
         ]
         before = sorted(os.listdir(tmp_path))

@@ -10,7 +10,7 @@ import pytest
 
 import kreinsys
 from kreinsys import dilation, krein
-from kreinsys.agler import construct_pencil_decomposition, minimal_factor
+from kreinsys.agler import minimal_factor
 from kreinsys.dilation import (
     DEFECT_NAMES,
     _Assembly,
@@ -36,10 +36,6 @@ from test_agler import polydisk_pairs, readme_ops
 from test_systems import hyperbolic_system, matrix_unit_system
 
 
-def make_dec(system, epsilon, degree):
-    return construct_pencil_decomposition(system_operators(system), epsilon, degree)
-
-
 def disk_points(n, radius, count, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n))
@@ -49,8 +45,7 @@ def disk_points(n, radius, count, seed):
 class TestMatrixUnitExact:
     def setup_method(self):
         self.alpha, _ = matrix_unit_system()
-        self.dec = make_dec(self.alpha, 1.0, 4)
-        self.res = build_dilation(self.alpha, self.dec, tol=1e-10)
+        self.res = build_dilation(self.alpha, 4, tol=1e-10)
 
     def test_state_and_symmetry(self):
         # each G_k has rank one, so the minimal factor has M = q = 2 rows,
@@ -83,8 +78,7 @@ class TestMatrixUnitExact:
 class TestHyperbolic:
     def setup_method(self):
         self.alpha, _ = hyperbolic_system()
-        self.dec = make_dec(self.alpha, 2.0, 24)
-        self.res = build_dilation(self.alpha, self.dec, tol=1e-6)
+        self.res = build_dilation(self.alpha, 24, tol=1e-6)
 
     def test_defects_within_tolerance(self):
         assert self.res.max_defect() <= 1e-6
@@ -114,7 +108,7 @@ class TestHyperbolic:
         assert report["conservativity"] <= 1e-10
 
     def test_degree_controls_transfer_residual(self):
-        res12 = build_dilation(self.alpha, make_dec(self.alpha, 2.0, 12), tol=1e-2)
+        res12 = build_dilation(self.alpha, 12, tol=1e-2)
         assert res12.defects["transfer-coincidence"] >= self.res.defects[
             "transfer-coincidence"
         ]
@@ -130,20 +124,20 @@ class TestZeroSystem:
             c=(np.zeros((1, 1)),),
             d=(np.zeros((1, 1)),),
         )
-        # the coefficient rows of the eps = 1 decomposition of the zero
-        # pencil have unit size at every degree, so the dilation transfer
-        # tail decays like r^(d+1) alone; degree 26 puts it below 1e-6
-        dec = make_dec(alpha, 1.0, 26)
-        res = build_dilation(alpha, dec, tol=1e-6)
+        # the coefficient Gram of the zero pencil is I/N at every degree, so
+        # the dilation transfer tail decays like r^(d+1) alone; degree 26
+        # puts it below 1e-6
+        res = build_dilation(alpha, 26, tol=1e-6)
         assert res.j.signature[1] == 0
         for z in disk_points(1, 0.5, 20, 2):
             assert abs(eval_transfer(res.alpha_tilde, z)[0, 0]) <= 1e-6
 
 
-def reduce_spans(system, epsilon, degree, tol=1e-8):
+def reduce_spans(system, degree, tol=1e-8):
     """Column-matching spans (basis, images, defect) of the minimal factor,
     with the two symmetries (j_m, j_ran) they live in."""
-    asm = _Assembly(minimal_factor(make_dec(system, epsilon, degree))[0], system_operators(system))
+    g = system_operators(system)
+    asm = _Assembly(minimal_factor(g, degree)[0], g)
     return (*asm.reduce_spans(tol), asm.j_m, asm.j_ran)
 
 
@@ -153,7 +147,7 @@ class TestBuildU:
         # column of F - F(0) stacked with the degree-n column of zG
         alpha, _ = hyperbolic_system()
         g = system_operators(alpha)
-        res = build_dilation(alpha, make_dec(alpha, 2.0, 8), tol=1e-2)
+        res = build_dilation(alpha, 8, tol=1e-2)
         dec = res.decomposition
         phi0, j0, jm = res.k0_basis, res.k0_symmetry, dec.j_m()
         k0 = phi0.shape[1]
@@ -166,7 +160,7 @@ class TestBuildU:
 
     def test_span_dimensions_agree(self):
         alpha, _ = hyperbolic_system()
-        dom, u, defect, j_m, j_ran = reduce_spans(alpha, 2.0, 10)
+        dom, u, defect, j_m, j_ran = reduce_spans(alpha, 10)
         assert dom.shape[1] == u.shape[1]
         assert defect <= 1e-12
         # both spans are regular: regularization finds no neutral direction
@@ -175,7 +169,7 @@ class TestBuildU:
 
     def test_matrix_unit_exact_spans(self):
         alpha, _ = matrix_unit_system()
-        dom, u, defect, _, _ = reduce_spans(alpha, 1.0, 4)
+        dom, u, defect, _, _ = reduce_spans(alpha, 4)
         assert dom.shape[1] == 2
         assert defect <= 1e-14
 
@@ -184,7 +178,7 @@ class TestVerifiers:
     def test_linear_tf_negative_control(self):
         # an identity in place of the matched extension breaks the realization
         alpha, _ = hyperbolic_system()
-        res = build_dilation(alpha, make_dec(alpha, 2.0, 8), tol=1e-2)
+        res = build_dilation(alpha, 8, tol=1e-2)
         k0 = res.k0_basis.shape[1]
         t_tilde = np.hstack([res.k0_basis, res.decomposition.f0()])
         bad = MultiparametricSystem(
@@ -199,7 +193,7 @@ class TestVerifiers:
 
     def test_linear_tf_zero_horizon(self):
         alpha, _ = matrix_unit_system()
-        res = build_dilation(alpha, make_dec(alpha, 1.0, 4), tol=1e-10)
+        res = build_dilation(alpha, 4, tol=1e-10)
         k0 = res.k0_basis.shape[1]
         check = MultiparametricSystem(
             n=2,
@@ -218,7 +212,7 @@ class TestVerifiers:
 
     def test_verify_dilation_flags_perturbation(self):
         alpha, _ = hyperbolic_system()
-        res = build_dilation(alpha, make_dec(alpha, 2.0, 12), tol=1e-3)
+        res = build_dilation(alpha, 12, tol=1e-3)
         at = res.alpha_tilde
         lead = at.state_dim - 1
         a0 = np.array(at.a[0])
@@ -249,27 +243,20 @@ class TestErrorPaths:
             c=(np.zeros((1, 1)),),
             d=(np.zeros((1, 2)),),
         )
-        wide_dec = make_dec(hyperbolic_system()[0], 2.0, 4)
         with pytest.raises(ValueError, match="pad"):
-            build_dilation(alpha, wide_dec)
-
-    def test_mismatched_decomposition_rejected(self):
-        alpha, _ = matrix_unit_system()
-        dec = make_dec(hyperbolic_system()[0], 2.0, 4)
-        with pytest.raises(ValueError, match="match"):
-            build_dilation(alpha, dec)
+            build_dilation(alpha, 4)
 
     def test_failure_names_stage(self):
         alpha, _ = hyperbolic_system()
         with pytest.raises(ValueError, match=r"stage 'lin-tf' residual \S+ exceeds tol 1\.0e-06"):
-            build_dilation(alpha, make_dec(alpha, 2.0, 6), tol=1e-6)
+            build_dilation(alpha, 6, tol=1e-6)
 
     def test_first_failing_stage_stops_the_build(self):
         # the minimal factor of this decomposition is off by a few ulps, so
         # a tiny tol fails the first stage before any later one runs
         alpha, _ = hyperbolic_system()
         with pytest.raises(ValueError) as info:
-            build_dilation(alpha, make_dec(alpha, 3.0, 6), tol=1e-20)
+            build_dilation(alpha, 6, tol=1e-20)
         message = str(info.value)
         assert re.fullmatch(r"stage 'factor' residual \S+ exceeds tol 1\.0e-20", message)
         assert "lin-tf" not in message and "transfer-coincidence" not in message
@@ -306,7 +293,7 @@ class TestBatchedLinearTf:
     def test_equals_the_per_product_loop(self, system, seed, monkeypatch):
         alpha = system_from_operators(readme_ops()) if system == "readme" else hyp8_register()
         g = system_operators(alpha)
-        res = build_dilation(alpha, construct_pencil_decomposition(g, None, 20), tol=1e-4, seed=seed)
+        res = build_dilation(alpha, 20, tol=1e-4, seed=seed)
         check = system_from_operators(res.check_operators)
         dec = res.decomposition
         assert not dec.exact
@@ -341,10 +328,9 @@ class TestBuildCost:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
         alpha = system_from_operators(readme_ops())
-        dec = construct_pencil_decomposition(system_operators(alpha), None, 20)
         for samples, seed in [(5, 0), (25, 7), (40, 807)]:
             counts.clear()
-            build_dilation(alpha, dec, tol=1e-4, samples=samples, seed=seed)
+            build_dilation(alpha, 20, tol=1e-4, samples=samples, seed=seed)
             assert counts == {"hermitian_opnorm": 7, "j_unitarity_defect": 1}
 
 

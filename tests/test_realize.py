@@ -110,11 +110,6 @@ class TestShiftRegister:
         theta = random_series(3, 7, 1, 1, seed=2)
         with pytest.raises(ValueError, match="cap"):
             shift_register_realization(theta)
-        alpha = shift_register_realization(theta, allow_large_degree=True)
-        assert alpha.state_dim == sum(
-            len(list(__import__("kreinsys.transfer", fromlist=["multi_indices"]).multi_indices(3, lv)))
-            for lv in range(1, 7)
-        )
 
 
 class TestConservativeRealization:
