@@ -134,7 +134,10 @@ def _encode_key(key) -> str:
 def _encode_matrix(m: np.ndarray, level: int):
     """Chunks of the text of a 2-D float64 matrix as rows of floats, or of a
     2-D complex128 matrix as [row][col][re, im], at nesting depth ``level``:
-    one %-template per matrix, filled row by row from each row's ``tolist()``."""
+    one %-template per matrix, filled row by row.  A real row is filled from
+    its ``tolist()``; in a complex matrix an entry whose parts are both +0.0
+    is written from one string, and only the other entries are formatted,
+    from one ``tolist()`` of their parts."""
     if m.ndim != 2 or m.dtype not in (np.float64, np.complex128):
         raise TypeError(f"cannot encode an array of shape {m.shape} and dtype {m.dtype}")
     real = m.dtype == np.float64
@@ -143,10 +146,25 @@ def _encode_matrix(m: np.ndarray, level: int):
         return
     pad = ["\n" + " " * (level + k) for k in range(4)]
     entry = "%r" if real else "[" + pad[3] + "%r," + pad[3] + "%r" + pad[2] + "]"
-    row = "[" + pad[2] + ("," + pad[2]).join([entry] * m.shape[1]) + pad[1] + "]"
-    values = m if real else np.ascontiguousarray(m).view(np.float64)
-    for i, v in enumerate(values):
-        yield ("," if i else "[") + pad[1] + row % tuple(v.tolist())
+    sep = "," + pad[2]
+    row = "[" + pad[2] + sep.join([entry] * m.shape[1]) + pad[1] + "]"
+    if real:
+        for i, v in enumerate(m):
+            yield ("," if i else "[") + pad[1] + row % tuple(v.tolist())
+        yield pad[0] + "]"
+        return
+    pairs = np.ascontiguousarray(m).view(np.float64).reshape(*m.shape, 2)
+    zeros = ~pairs.view(np.uint64).any(axis=2)  # both parts +0.0, bit for bit
+    kept = pairs[~zeros].ravel().tolist()  # parts of the other entries, row by row
+    zero = entry % (0.0, 0.0)
+    start = 0
+    for i, z in enumerate(zeros.tolist()):
+        tpl = row
+        if any(z):
+            tpl = "[" + pad[2] + sep.join([zero if e else entry for e in z]) + pad[1] + "]"
+        stop = start + 2 * (len(z) - sum(z))
+        yield ("," if i else "[") + pad[1] + tpl % tuple(kept[start:stop])
+        start = stop
     yield pad[0] + "]"
 
 

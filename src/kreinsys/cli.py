@@ -234,12 +234,14 @@ def cmd_dilate(args) -> int:
         f"dilated state dim {result.alpha_tilde.state_dim}"
         f" (from {system.state_dim}), symmetry signature {result.j.signature}"
     )
+    say(f"||U_full|| = {result.u_norm:.6e}")
     report = {
         "command": "dilate",
         "decomposition_degree": result.decomposition.degree,
         "state_dim": result.alpha_tilde.state_dim,
         "original_state_dim": system.state_dim,
         "signature": list(result.j.signature),
+        "u_norm": result.u_norm,
     }
     if args.out:
         bundles.save_bundle(
@@ -267,12 +269,14 @@ def cmd_realize(args) -> int:
         f"realized state dim {res.system.state_dim}, symmetry signature"
         f" {res.j.signature}, certified radius {res.radius}"
     )
+    say(f"||U_full|| = {res.dilation.u_norm:.6e}")
     report = {
         "command": "realize",
         "state_dim": res.system.state_dim,
         "signature": list(res.j.signature),
         "radius": res.radius,
         "io_dims": [res.output_dim, res.input_dim],
+        "u_norm": res.dilation.u_norm,
     }
     if args.out:
         bundles.save_bundle(

@@ -36,6 +36,13 @@ stacked F.  Three facts carry the build:
 
 When the exact branch applies (F_k = G_k, see agler) the identities above
 hold at every degree and the dilation is exact up to roundoff.
+
+Each G-check_k is stored with every real and imaginary part of modulus
+at most n eps ||U-full||_2 set to an exact zero, n being its row count:
+the normwise error bound of a computed product (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 3.5).  Those parts are the
+roundoff U-full and T carry, and every defect is measured on the stored
+operators.
 """
 
 from dataclasses import dataclass
@@ -84,6 +91,7 @@ class DilationResult:
     check_operators: SystemOperatorTuple
     decomposition: AglerDecomposition
     u_matrix: np.ndarray
+    u_norm: float
     k0_basis: np.ndarray
     k0_symmetry: CanonicalSymmetry
     defects: dict
@@ -289,7 +297,9 @@ def build_dilation(
     coefficient Gram of the explicit decomposition (at any scale) from G
     and the degree alone.  The result's ``decomposition`` is that factor,
     the coordinates of ``u_matrix`` and ``k0_basis``, and the ``factor``
-    defect is its Gram mismatch.
+    defect is its Gram mismatch.  The dilation's operators carry exact
+    zeros where the product U-full P_k T is within n eps ``u_norm`` of
+    zero (see the module docstring).
     """
     g = system_operators(alpha)
     dec, factor = minimal_factor(g, degree, radius)
@@ -310,15 +320,20 @@ def build_dilation(
     defects["extension"] = float(max(restrict, ext_defect))
     _gate(defects, "extension", tol)
 
-    # G-check_k = U-full P_k [Phi_0 | F(0)] on K_0 (+) C^q
+    # G-check_k = U-full P_k [Phi_0 | F(0)] on K_0 (+) C^q, its roundoff snapped
     t_tilde = np.hstack([asm.phi0, asm.f0])
     k0, q, dx = asm.k0_dim, asm.q, alpha.state_dim
+    u_norm = opnorm(u_full)
+    cut = u_full.shape[0] * np.finfo(float).eps * u_norm
     g_check = []
     for k in range(asm.n):
         lo, hi = asm.row_ranges[k]
         pk_t = np.zeros_like(t_tilde)
         pk_t[lo:hi] = t_tilde[lo:hi]
-        g_check.append(u_full @ pk_t)
+        g_k = u_full @ pk_t
+        parts = g_k.view(np.float64)
+        parts[np.abs(parts) <= cut] = 0.0
+        g_check.append(g_k)
     check_ops = SystemOperatorTuple(tuple(g_check), k0, q, q)
     check_system = system_from_operators(check_ops)
 
@@ -350,6 +365,7 @@ def build_dilation(
         check_operators=check_ops,
         decomposition=dec,
         u_matrix=u_full,
+        u_norm=u_norm,
         k0_basis=asm.phi0,
         k0_symmetry=asm.j0,
         defects=defects,

@@ -22,7 +22,8 @@ from kreinsys import bundles
 from kreinsys.agler import construct_pencil_decomposition
 from kreinsys.cli import main
 from kreinsys.dilation import build_dilation
-from kreinsys.krein import CanonicalSymmetry
+from kreinsys.krein import CanonicalSymmetry, opnorm
+from kreinsys.realize import jconservative_realization
 from kreinsys.systems import (
     MultiparametricSystem,
     random_jconservative,
@@ -239,6 +240,27 @@ def array_leaves(draw):
     return m
 
 
+# three in four parts a signed zero, mostly +0.0: the encoder writes an entry
+# of two +0.0 parts from one string
+MOSTLY_ZERO_PARTS = st.integers(0, 3).flatmap(
+    lambda k: PLAIN_FLOATS if k == 0 else st.sampled_from([0.0, 0.0, -0.0])
+)
+
+
+@st.composite
+def mostly_zero_leaves(draw):
+    """2-D float64 or complex128 arrays of shape 1-5 x 1-5 whose parts are
+    mostly +0.0 or -0.0, with some all-zero rows, so that complex entries
+    mix two zero parts, one nonzero part and two, in C or Fortran order."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    width = cols * (2 if draw(st.booleans()) else 1)
+    values = draw(st.lists(MOSTLY_ZERO_PARTS, min_size=rows * width, max_size=rows * width))
+    flat = np.array(values, dtype=np.float64).reshape(rows, width)
+    flat[sorted(draw(st.sets(st.integers(0, rows - 1))))] = 0.0
+    m = flat.view(np.complex128) if width > cols else flat
+    return np.asfortranarray(m) if draw(st.booleans()) else m
+
+
 JSON_TREES = st.recursive(
     st.one_of(
         st.none(),
@@ -248,6 +270,7 @@ JSON_TREES = st.recursive(
         st.lists(ENTRIES),
         bundle_matrices(),
         array_leaves(),
+        mostly_zero_leaves(),
     ),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
@@ -594,6 +617,29 @@ class TestCliCommands:
             assert built == checked
             values.append(built)
         assert values[0] == values[1]
+
+    @pytest.mark.parametrize("command", ["dilate", "realize"])
+    def test_reports_u_norm(self, command, tmp_path, capsys):
+        # ||U_full||_2 is the scale of the roundoff cut on the stored dilation
+        if command == "dilate":
+            path = readme_bundle(tmp_path)
+            args = ["dilate", path, "--degree", "12", "--tol", "1e-1", "--samples", "5"]
+            system, _, _ = bundles.system_from_bundle(bundles.load_bundle(path))
+            built = build_dilation(system, 12, tol=1e-1, samples=5)
+            expected = 11.49
+        else:
+            path = hyperbolic_series_bundle(tmp_path)
+            args = ["realize", path, "--tol", "1e-4", "--samples", "5"]
+            theta = bundles.series_from_bundle(bundles.load_bundle(path))
+            built = jconservative_realization(theta, tol=1e-4, samples=5).dilation
+            expected = 7.47
+        capsys.readouterr()
+        assert main(args) == 0
+        assert f"||U_full|| = {built.u_norm:.6e}" in capsys.readouterr().out
+        assert main(args + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["u_norm"] == built.u_norm == opnorm(built.u_matrix)
+        assert report["u_norm"] == pytest.approx(expected, abs=5e-3)
 
     def test_dilate_stage_failure_names_stage(self, hyp_bundle, capsys):
         code = main(["dilate", hyp_bundle, "--degree", "12", "--tol", "1e-8"])

@@ -1,6 +1,8 @@
 """Tests for the conservative dilation pipeline."""
 
+import functools
 import importlib.util
+import json
 import re
 from collections import Counter
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import kreinsys
-from kreinsys import dilation, krein
+from kreinsys import bundles, cli, dilation, krein
 from kreinsys.agler import minimal_factor
 from kreinsys.dilation import (
     DEFECT_NAMES,
@@ -20,7 +22,7 @@ from kreinsys.dilation import (
     verify_linear_tf,
 )
 from kreinsys.krein import CanonicalSymmetry, opnorm, regularize_subspace
-from kreinsys.realize import shift_register_realization
+from kreinsys.realize import jconservative_realization, shift_register_realization
 from kreinsys.systems import (
     MultiparametricSystem,
     SystemOperatorTuple,
@@ -262,10 +264,15 @@ class TestErrorPaths:
         assert "lin-tf" not in message and "transfer-coincidence" not in message
 
 
+def hyp8_series():
+    """The degree-8 hyperbolic series that the `realize-hyp8` benchmark realizes."""
+    coeffs = {(m,): [[1.25 if m == 1 else 0.5625 * 1.25 ** (m - 2)]] for m in range(1, 9)}
+    return TruncatedOperatorSeries(1, 8, coeffs)
+
+
 def hyp8_register():
     """The padded shift register that `realize` dilates for the degree-8 hyperbolic series."""
-    coeffs = {(m,): [[1.25 if m == 1 else 0.5625 * 1.25 ** (m - 2)]] for m in range(1, 9)}
-    return pad_io(shift_register_realization(TruncatedOperatorSeries(1, 8, coeffs), 8))
+    return pad_io(shift_register_realization(hyp8_series(), 8))
 
 
 def chained_product_norms(check, z, n_max):
@@ -310,6 +317,86 @@ class TestBatchedLinearTf:
         for z in [*z_samples, *(4 * z_samples)]:
             want = max(chained_product_norms(check, z, horizon))
             assert verify_linear_tf(check, corner, [z], n_max=horizon) == want
+
+
+@functools.cache
+def snapped_build(case):
+    """A dilation of the README bundle at degree 8, 12 or 20, or the one that
+    `realize` builds for the degree-8 hyperbolic series.  The gate is loose:
+    the snap does not depend on it, and degree 8 misses 1e-4 on lin-tf."""
+    if case == "hyp8":
+        return jconservative_realization(hyp8_series(), tol=1e-4, samples=5).dilation
+    return build_dilation(system_from_operators(readme_ops()), int(case), tol=1e-1, samples=5)
+
+
+def roundoff_cut(res):
+    """n eps ||U_full||_2, n the row count of each U_full P_k T."""
+    return res.u_matrix.shape[0] * np.finfo(float).eps * res.u_norm
+
+
+def unsnapped_products(res):
+    """U_full P_k [Phi_0 | F(0)] for each k, as computed before the snap."""
+    t_tilde = np.hstack([res.k0_basis, res.decomposition.f0()])
+    products = []
+    for lo, hi in res.decomposition.component_row_ranges():
+        pk_t = np.zeros_like(t_tilde)
+        pk_t[lo:hi] = t_tilde[lo:hi]
+        products.append(res.u_matrix @ pk_t)
+    return products
+
+
+def parts(m):
+    """Real and imaginary parts of a complex matrix, interleaved."""
+    return np.ascontiguousarray(m).view(np.float64)
+
+
+SNAP_CASES = ["8", "12", "20", "hyp8"]
+
+
+class TestRoundoffSnap:
+    @pytest.mark.parametrize("case", SNAP_CASES)
+    def test_every_part_is_zero_or_above_the_cut(self, case):
+        res = snapped_build(case)
+        cut = roundoff_cut(res)
+        at = res.alpha_tilde
+        for m in (*at.a, *at.b, *at.c, *at.d, *res.check_operators):
+            p = np.abs(parts(m))
+            assert np.all((p == 0) | (p > cut))
+
+    @pytest.mark.parametrize("case", SNAP_CASES)
+    def test_smallest_kept_part_is_far_above_the_cut(self, case):
+        # the cut sits orders of magnitude below the structural content, so
+        # no entry of the construction is lost to it
+        res = snapped_build(case)
+        kept = [np.abs(p[p != 0]) for p in map(parts, res.check_operators)]
+        assert np.concatenate(kept).min() >= 1e6 * roundoff_cut(res)
+
+    @pytest.mark.parametrize("case", SNAP_CASES)
+    def test_kept_parts_are_the_unsnapped_product(self, case):
+        res = snapped_build(case)
+        cut = roundoff_cut(res)
+        for got, raw in zip(res.check_operators, unsnapped_products(res)):
+            got, raw = parts(got), parts(raw)
+            kept = got != 0
+            assert np.array_equal(got[kept], raw[kept])
+            assert np.all(np.abs(raw[~kept]) <= cut)
+
+    def test_written_bundle_verifies(self, tmp_path, capsys):
+        system, dil = str(tmp_path / "n2.json"), str(tmp_path / "dil.json")
+        gen = ["gen", "--n", "2", "--state-dim", "3", "--input-dim", "2", "--signs", "++-"]
+        assert cli.main(gen + ["--seed", "0", "--out", system]) == 0
+        args = ["--tol", "1e-4", "--samples", "25", "--seed", "7"]
+        assert cli.main(["dilate", system, "--degree", "20", *args, "--out", dil]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify-dilation", system, dil, *args, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["residuals"]["compression"] <= 1e-12
+        # the exact zeros survive the round trip through the bundle
+        stored, _, _ = bundles.dilation_from_bundle(bundles.load_bundle(dil))
+        cut = roundoff_cut(snapped_build("20"))
+        for m in (*stored.a, *stored.b, *stored.c, *stored.d):
+            p = np.abs(parts(m))
+            assert np.all((p == 0) | (p > cut))
 
 
 class TestBuildCost:
